@@ -8,8 +8,6 @@ Laplacian, and the Euclidean Gaussian baseline metric.
 from .dyadic import (
     DyadicInterval,
     DyadicPoint,
-    HaarWavelet,
-    ancestor_chain,
     dyadic_distance,
     haar_eval,
     interval_containing,
@@ -48,7 +46,6 @@ from .spectral import (
     c_t_s,
     distance_closed,
     distance_spectral,
-    eta,
     kernel_K,
     log_psi_sq,
     log_psi_sq_increment,
@@ -69,13 +66,11 @@ __all__ = [
     "ExpansionParseError",
     "GaussianParams",
     "HaarExpansion",
-    "HaarWavelet",
     "LevelRangeError",
     "PiecewiseDyadicFunction",
     "QuadratureError",
     "ResidualTooLarge",
     "TruncationPolicy",
-    "ancestor_chain",
     "apply_laplacian",
     "ball",
     "ball_radius_transfer",
@@ -83,7 +78,6 @@ __all__ = [
     "distance_closed",
     "distance_spectral",
     "dyadic_distance",
-    "eta",
     "evolve_pointwise",
     "evolve_spectral",
     "haar_eigenvalue",

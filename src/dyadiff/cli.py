@@ -6,8 +6,8 @@ are emitted as JSON documents, tables as whitespace-separated rows with a
 digit count and the applied rounding is always echoed, making the exactness
 boundary of the dyadic layer visible.
 
-Exit codes: 0 success, 2 parse error, 3 range error, 4 series cap exceeded,
-5 verification failure.
+Exit codes: 0 success, 2 parse error, 3 range error, 4 a series, search or
+quadrature could not be certified, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import laplacian, spectral, verify
 from .dyadic import DyadicPoint, dyadic_distance, smallest_common_interval
-from .exceptions import CapExceeded, ExpansionParseError
+from .exceptions import CapExceeded, ExpansionParseError, QuadratureError
 from .spectral import DiffusionParams, TruncationPolicy
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def _interval_record(interval) -> dict:
     }
 
 
-def _point_record(label: str, text: str, point: DyadicPoint, rounding: Fraction) -> dict:
+def _point_record(text: str, point: DyadicPoint, rounding: Fraction) -> dict:
     return {
         "input": text,
         "value": _fmt(point.value),
@@ -94,8 +94,8 @@ def cmd_delta(args, out) -> int:
     common = smallest_common_interval(x, y)
     doc = {
         "command": "delta",
-        "x": _point_record("x", args.x, x, rx),
-        "y": _point_record("y", args.y, y, ry),
+        "x": _point_record(args.x, x, rx),
+        "y": _point_record(args.y, y, ry),
         "delta": _fmt(delta),
         "interval": _interval_record(common) if common is not None else "point",
     }
@@ -110,8 +110,8 @@ def cmd_distance(args, out) -> int:
     trunc = _trunc_from_args(args)
     doc = {
         "command": "distance",
-        "x": _point_record("x", args.x, x, rx),
-        "y": _point_record("y", args.y, y, ry),
+        "x": _point_record(args.x, x, rx),
+        "y": _point_record(args.y, y, ry),
         "s": _fmt(args.s),
         "t": _fmt(args.t),
         "method": args.method,
@@ -137,7 +137,7 @@ def cmd_ball(args, out) -> int:
     result = spectral.ball(x, args.r, params, trunc)
     doc = {
         "command": "ball",
-        "x": _point_record("x", args.x, x, rx),
+        "x": _point_record(args.x, x, rx),
         "r": _fmt(args.r),
         "s": _fmt(args.s),
         "t": _fmt(args.t),
@@ -292,6 +292,9 @@ def main(argv=None, out=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except QuadratureError as exc:
+        print(f"quadrature not certified: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except (ValueError, OverflowError) as exc:
         print(f"range error: {exc}", file=sys.stderr)
         return EXIT_RANGE
@@ -299,3 +302,7 @@ def main(argv=None, out=None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -21,8 +21,6 @@ MAX_LEVEL = 1024
 
 _SQRT2 = math.sqrt(2.0)
 
-RealLike = Union[int, float, Fraction, str]
-
 
 def _check_level(j: int) -> None:
     if abs(j) > MAX_LEVEL:
@@ -53,10 +51,10 @@ class DyadicPoint:
             raise ValueError("dyadic point requires mantissa >= 0 and exponent >= 0")
         if m == 0:
             e = 0
-        else:
-            while m % 2 == 0 and e > 0:
-                m //= 2
-                e -= 1
+        elif m & 1 == 0:
+            # strip every trailing zero bit at once: m & -m is the lowest set bit
+            k = min(e, (m & -m).bit_length() - 1)
+            m, e = m >> k, e - k
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exponent", e)
 
@@ -95,14 +93,6 @@ class DyadicPoint:
 
     def __le__(self, other: "DyadicPoint") -> bool:
         return self == other or self < other
-
-
-def as_point(x: RealLike | DyadicPoint) -> DyadicPoint:
-    if isinstance(x, DyadicPoint):
-        return x
-    if isinstance(x, float):
-        return DyadicPoint.from_float(x)
-    return DyadicPoint.from_fraction(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -218,27 +208,3 @@ def haar_eval(I: DyadicInterval, x: DyadicPoint) -> float:
     if I.left_child().contains(x):
         return magnitude
     return -magnitude
-
-
-@dataclass(frozen=True)
-class HaarWavelet:
-    """Callable wrapper for the Haar function h_I."""
-
-    support: DyadicInterval
-
-    def __call__(self, x: DyadicPoint) -> float:
-        return haar_eval(self.support, x)
-
-    @property
-    def magnitude(self) -> float:
-        return pow2_half(self.support.level)
-
-
-def ancestor_chain(I: DyadicInterval, count: int) -> list[DyadicInterval]:
-    """[I, parent(I), parent^2(I), ...] with the given number of entries."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    chain = [I]
-    for _ in range(count - 1):
-        chain.append(chain[-1].parent())
-    return chain

@@ -148,14 +148,11 @@ def haar_eigenvalue(
         DyadicPoint.from_fraction(I.lower + Fraction(2 * i + 1, 2 * samples) * I.length)
         for i in range(samples)
     ]
-    values = []
-    for p in points:
-        hp = f.evaluate(p)
-        values.append(-apply_laplacian(f, p, s, trunc) / hp)
+    heights = [f.evaluate(p) for p in points]
+    values = [-apply_laplacian(f, p, s, trunc) / h for p, h in zip(points, heights)]
     lam = math.fsum(values) / len(values)
-    residual = max(
-        abs(apply_laplacian(f, p, s, trunc) + lam * f.evaluate(p)) for p in points
-    )
+    # |D^s h(p) + lam h(p)| = |h(p)| |lam - v_p| for each measured v_p
+    residual = max(abs(h) * abs(lam - v) for h, v in zip(heights, values))
     if residual > residual_tol:
         raise ResidualTooLarge(
             f"eigenrelation residual {residual} exceeds {residual_tol} on {I}"

@@ -9,14 +9,15 @@ The diffusion distance of order s at time t admits two routes:
   eta_t(sigma) = 2 exp(-2 t sigma) + sum_{l>=1} 2^l exp(-2 t 2^(s l) sigma).
 
 Both are implemented independently; their agreement is the headline check.
-Every truncated series carries a certified geometric tail bound instead of a
-fixed term count.
+Every series is a sum of 2^j exp(-a 2^(s j)) over a range of levels j, taken
+by `_right_sum` (ratio certificate) or `_left_sum` (geometric certificate)
+until the discarded tail is certified, instead of a fixed term count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -74,33 +75,50 @@ def _pow2(x: float) -> float:
         return math.inf
 
 
-def eta(
-    params: DiffusionParams, sigma: float, trunc: TruncationPolicy = DEFAULT_TRUNC
-) -> float:
-    """eta_t(sigma) = 2 exp(-2 t sigma) + sum_{l>=1} 2^l exp(-2 t 2^(s l) sigma).
+def _right_sum(
+    a: float, s: float, start: int, trunc: TruncationPolicy,
+    shift: float = 0.0, base: Optional[float] = None,
+) -> tuple[float, int]:
+    """sum_{l >= start} 2^l exp(shift - a 2^(s l)) and the last level used.
 
     Terms eventually decay super-exponentially; summation stops once the exact
-    successive-term ratio r = 2 exp(-2 t sigma 2^(s l) (2^s - 1)) is <= 1/2
-    (it is decreasing in l), at which point the discarded tail is bounded by
-    term * r / (1 - r) and required to be <= tail_tol.
+    successive-term ratio r = 2 exp(-a 2^(s l) (2^s - 1)) is <= 1/2 (it is
+    decreasing in l), at which point the discarded tail is bounded by
+    term * r / (1 - r) and required to be <= tail_tol, or <= tail_tol times
+    base + sum when a base is given.
     """
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
-    s, t = params.s, params.t
-    a = 2.0 * t * sigma
-    terms = [2.0 * math.exp(-a)]
-    growth = _pow2(s) - 1.0
-    for ell in range(1, trunc.max_terms + 1):
-        p = _pow2(s * ell)
-        term = math.exp(ell * _LN2 - a * p)
-        terms.append(term)
-        ratio = 2.0 * math.exp(-a * p * growth)
-        if ratio <= 0.5 and term * ratio / (1.0 - ratio) <= trunc.tail_tol:
-            return math.fsum(terms)
+    growth, tol, total = _pow2(s) - 1.0, trunc.tail_tol, 0.0
+    for ell in range(start, start + trunc.max_terms):
+        ap = a * _pow2(s * ell)
+        term = math.exp(ell * _LN2 + shift - ap)
+        total += term
+        ratio = 2.0 * math.exp(-ap * growth)
+        rel = 1.0 if base is None else base + total
+        if ratio <= 0.5 and term * ratio / (1.0 - ratio) <= tol * rel:
+            return total, ell
     raise CapExceeded(
-        f"eta series not certified within {trunc.max_terms} terms "
-        f"(s={s}, t={t}, sigma={sigma})"
+        f"series not certified within {trunc.max_terms} terms "
+        f"(s={s}, a={a}, levels from {start})"
     )
+
+
+def _left_sum(a: float, s: float, top: int, trunc: TruncationPolicy) -> float:
+    """sum_{j <= top} 2^j exp(-a 2^(s j)).
+
+    Every exponential factor is < 1, so once 2^j <= tail_tol the discarded
+    part is below the geometric sum of 2^i over i < j, hence below tail_tol.
+    """
+    last = min(top, math.floor(math.log2(trunc.tail_tol)))  # 2^last <= tail_tol
+    if top - last >= trunc.max_terms:
+        raise CapExceeded(f"left sum needs {top - last + 1} > {trunc.max_terms} terms")
+    total, w = 0.0, math.ldexp(1.0, top)
+    for _ in range(top - last + 1):
+        try:
+            total += math.exp(-a * w**s) * w
+        except OverflowError:
+            pass  # w^s is past the double range, so the term is 0
+        w *= 0.5
+    return total
 
 
 def log_psi_sq(
@@ -114,36 +132,16 @@ def log_psi_sq(
     psi^2 = (4/lam) exp(-2 t sigma) (1 + S),
     S = sum_{l>=1} 2^(l-1) exp(-2 t sigma (2^(s l) - 1)),
     so the log stays finite far below the double underflow threshold of the
-    direct route.  S carries the same exact successive-ratio certificate as
-    eta, applied relatively.  Returns -inf when sigma overflows (lam so small
-    that psi is an exact floating-point 0).
+    direct route.  S is certified relative to 1 + S.  Returns -inf when sigma
+    overflows (lam so small that psi is an exact floating-point 0).
     """
     lam_f = float(lam)
     if not (lam_f > 0.0):
         raise ValueError("lam must be positive")
-    s, t = params.s, params.t
-    sigma = lam_f ** (-s)
-    a = 2.0 * t * sigma
+    a = 2.0 * params.t * lam_f ** (-params.s)
     if math.isinf(a):
         return -math.inf
-    growth = _pow2(s) - 1.0
-    total = 0.0
-    certified = False
-    for ell in range(1, trunc.max_terms + 1):
-        p = _pow2(s * ell)
-        term = math.exp((ell - 1) * _LN2 - a * (p - 1.0))
-        total += term
-        ratio = 2.0 * math.exp(-a * p * growth)
-        if ratio <= 0.5 and term * ratio / (1.0 - ratio) <= trunc.tail_tol * (
-            1.0 + total
-        ):
-            certified = True
-            break
-    if not certified:
-        raise CapExceeded(
-            f"log_psi_sq series not certified within {trunc.max_terms} terms "
-            f"(s={s}, t={t}, lam={lam_f})"
-        )
+    total, _ = _right_sum(a, params.s, 1, trunc, shift=a - _LN2, base=1.0)
     return 2.0 * _LN2 - math.log(lam_f) - a + math.log1p(total)
 
 
@@ -185,30 +183,8 @@ def log_psi_sq_increment(params: DiffusionParams, i: int) -> float:
 
 
 def _bilateral_sum(s: float, a: float, trunc: TruncationPolicy) -> float:
-    """sum_{k in Z} 2^k exp(-a 2^(k s)) with certified tails on both sides.
-
-    Left tail (k -> -inf): the exponential factor is < 1, so the discarded
-    part is below the geometric sum 2^k.  Right tail: same super-exponential
-    ratio certificate as in eta.
-    """
-    terms = []
-    k = 0
-    while True:
-        terms.append(math.exp(k * _LN2 - a * _pow2(k * s)))
-        if _pow2(k) <= trunc.tail_tol:
-            break
-        k -= 1
-        if -k > trunc.max_terms:
-            raise CapExceeded("bilateral series: left tail not certified")
-    growth = _pow2(s) - 1.0
-    for k in range(1, trunc.max_terms + 1):
-        p = _pow2(k * s)
-        term = math.exp(k * _LN2 - a * p)
-        terms.append(term)
-        ratio = 2.0 * math.exp(-a * p * growth)
-        if ratio <= 0.5 and term * ratio / (1.0 - ratio) <= trunc.tail_tol:
-            return math.fsum(terms)
-    raise CapExceeded("bilateral series: right tail not certified")
+    """sum_{k in Z} 2^k exp(-a 2^(k s)), both tails certified."""
+    return _left_sum(a, s, 0, trunc) + _right_sum(a, s, 1, trunc)[0]
 
 
 def psi_infinity(
@@ -230,7 +206,10 @@ def c_t_s(
     against Gamma(1 + 1/s) * 2^(-1/s) (substitution u = 2 x^s).
     """
     s, t = params.s, params.t
-    value, err = quad(lambda x: math.exp(-2.0 * x**s), 0.0, math.inf, epsabs=1e-13, limit=400)
+    # full_output keeps SciPy's warning off stderr: the check below reports it
+    value, err, *_ = quad(
+        lambda x: math.exp(-2.0 * x**s), 0.0, math.inf, epsabs=1e-13, limit=400, full_output=1
+    )
     closed = math.gamma(1.0 + 1.0 / s) * 2.0 ** (-1.0 / s)
     if err > 1e-6 or abs(value - closed) > quad_tol * max(1.0, closed):
         raise QuadratureError(
@@ -258,24 +237,17 @@ def kernel_K(
     Only wavelets whose support contains both points contribute.  For x != y
     these are exactly the ancestors of the minimal common interval; the two
     points sit in opposite halves there (product -1/delta) and in the same
-    half above it (product +1/|I|).  The ancestor tail is geometric with
-    ratio 1/2 so the remainder after the last included interval of length L
-    is below 1/L.  For x == y the sum runs over the full bilateral chain of
-    intervals containing x.
+    half above it (product +1/|I|), so the ancestor chain is the geometric
+    left sum below the common level.  For x == y the sum runs over the full
+    bilateral chain of intervals containing x.
     """
     s, t = params.s, params.t
     common = smallest_common_interval(x, y)
     if common is None:
         # Diagonal: sum_j 2^j exp(-t 2^(j s)) over all levels j.
         return _bilateral_sum(s, t, trunc)
-    inv_len = _pow2(common.level)
-    terms = [-math.exp(-t * inv_len**s) * inv_len]
-    for m in range(1, trunc.max_terms + 1):
-        inv_len *= 0.5
-        terms.append(math.exp(-t * inv_len**s) * inv_len)
-        if inv_len <= trunc.tail_tol:
-            return math.fsum(terms)
-    raise CapExceeded("kernel ancestor series not certified")
+    top = common.level
+    return _left_sum(t, s, top - 1, trunc) - math.exp(top * _LN2 - t * _pow2(s * top))
 
 
 def distance_closed(
@@ -299,40 +271,34 @@ def distance_spectral(
     Three groups contribute: the separating wavelet at the minimal common
     interval, and the two one-sided chains of wavelets containing exactly one
     of the points.  Wavelets strictly above the common interval see equal
-    values at x and y and are skipped.  The discarded chain tail is certified
-    by the same super-exponential ratio bound as in eta, applied to the
-    squared sum relative to the accumulated total so tiny distances keep
-    full relative accuracy.
+    values at x and y and are skipped.  Both chain terms at level j sum to
+    exactly 2 * 2^j exp(-2t 2^(s j)), so the deepest level is where the ratio
+    certificate of that series holds relative to the squared distance.
+
+    The sum is taken in units of exp(-2t |I|^-s) 2^max(j, 0) of the common
+    interval I at level j, about the size of the separating term, so it
+    stays representable wherever the distance is, however small that is.
     """
-    s, t = params.s, params.t
+    s, a = params.s, 2.0 * params.t
     common = smallest_common_interval(x, y)
     if common is None:
         return 0.0
+    top = common.level
+    shift = a * _pow2(s * top) - max(top, 0) * _LN2
+    if math.isinf(shift):
+        return 0.0
     sep = haar_eval(common, x) - haar_eval(common, y)
-    inv_len = _pow2(common.level)
-    terms = [math.exp(-2.0 * t * inv_len**s) * sep * sep]
-    ix = common.child_containing(x)
-    iy = common.child_containing(y)
-    growth = _pow2(s) - 1.0
-    for _ in range(1, min(trunc.max_depth, trunc.max_terms) + 1):
-        w = _pow2(ix.level)
-        mult = math.exp(-2.0 * t * w**s)
-        hx = haar_eval(ix, x)
-        hy = haar_eval(iy, y)
-        terms.append(mult * hx * hx)
-        terms.append(mult * hy * hy)
-        # both chain terms at this level sum to exactly 2 * mult * w
-        level_sum = 2.0 * mult * w
-        ratio = 2.0 * math.exp(-2.0 * t * w**s * growth)
-        if ratio <= 0.5 and level_sum * ratio / (1.0 - ratio) <= trunc.tail_tol * (
-            math.fsum(terms)
-        ):
-            return math.sqrt(math.fsum(terms))
+    terms = [_pow2(-max(top, 0)) * sep * sep]
+    depth = replace(trunc, max_terms=min(trunc.max_depth, trunc.max_terms))
+    _, last = _right_sum(a, s, top + 1, depth, shift=shift + _LN2, base=terms[0])
+    ix = iy = common
+    for j in range(top + 1, last + 1):
         ix = ix.child_containing(x)
         iy = iy.child_containing(y)
-    raise CapExceeded(
-        f"spectral distance chains not certified within depth {trunc.max_depth}"
-    )
+        mult = math.exp(shift - a * _pow2(s * j))
+        hx, hy = haar_eval(ix, x), haar_eval(iy, y)
+        terms += (mult * hx * hx, mult * hy * hy)
+    return math.exp(0.5 * (math.log(math.fsum(terms)) - shift))
 
 
 @dataclass(frozen=True)
@@ -351,11 +317,6 @@ class Ball:
 
     def contains(self, x: DyadicPoint) -> bool:
         return True if self.interval is None else self.interval.contains(x)
-
-
-# Safety cap on the upward walk; psi approaches its limit geometrically, so
-# radii within double precision of psi_infinity resolve far below this.
-_MAX_ASCENT = 4096
 
 
 def ball(
@@ -380,13 +341,12 @@ def ball(
         depth += 1
         if depth > trunc.max_depth:
             raise CapExceeded("downward ball search exceeded max_depth")
-    for _ in range(_MAX_ASCENT):
+    # the walk up ends at the latest at the level bound, where parent() raises
+    while True:
         parent = current.parent()
-        if log_psi_sq(params, parent.length, trunc) < log_r_sq:
-            current = parent
-        else:
+        if log_psi_sq(params, parent.length, trunc) >= log_r_sq:
             return Ball(current)
-    raise CapExceeded("upward ball search failed to terminate")
+        current = parent
 
 
 def ball_radius_transfer(
@@ -402,26 +362,28 @@ def ball_radius_transfer(
     Any value in (psi_{t2}(|I|), psi_{t2}(2|I|)] works, where I is the
     t1-ball.  The geometric midpoint of that window is returned; when it
     falls below the denormal floor the choice is moved toward the top of the
-    window, and if no positive double lies in the window at all a ValueError
-    reports the representability limit.
+    window.  The radius is checked by `ball` itself, and a ValueError
+    reports a window that holds no double radius for the same ball.
     """
     p1 = DiffusionParams(s, t1)
     p2 = DiffusionParams(s, t2)
-    if not (r1 < psi_infinity(p1, trunc)):
-        raise ValueError("r1 must be below psi_t1(+inf) for an interval ball")
     interval = ball(x, r1, p1, trunc).interval
-    assert interval is not None
+    if interval is None:
+        raise ValueError("r1 must be below psi_t1(+inf) for an interval ball")
     log_lo_sq = log_psi_sq(p2, interval.length, trunc)
     log_hi_sq = log_psi_sq(p2, 2 * interval.length, trunc)
     # radius window in log scale: (log_lo_sq / 2, log_hi_sq / 2]
     log_r = 0.25 * (log_lo_sq + log_hi_sq)
-    r2 = math.exp(log_r)
     for _ in range(64):
-        if r2 > 0.0:
-            return r2
+        if math.exp(log_r) > 0.0:
+            break
         log_r = 0.5 * (log_r + 0.5 * log_hi_sq)
-        r2 = math.exp(log_r)
-    raise ValueError(
-        "transferred radius window lies below the positive double range "
-        f"(log radius <= {0.5 * log_hi_sq})"
-    )
+    r2 = math.exp(log_r)
+    # keep r2 only if `ball` maps it back to I: the window may hold no double,
+    # and where psi_t2 is flat to an ulp its computed values are not monotone
+    if not (r2 > 0.0 and ball(x, r2, p2, trunc).interval == interval):
+        raise ValueError(
+            f"no double radius gives the ball {interval} at t2={t2}: window of "
+            f"log radii ({0.5 * log_lo_sq!r}, {0.5 * log_hi_sq!r}]"
+        )
+    return r2

@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dyadiff
 from dyadiff.cli import (
     DEFAULT_DIGITS,
     EXIT_CAP,
@@ -173,6 +178,14 @@ class TestProfile:
         code, _ = run("profile", "--s", "1", "--t", "1", "--i-min", "3", "--i-max", "1")
         assert code == EXIT_RANGE
 
+    def test_uncertified_quadrature_exits_4(self, capsys):
+        # at s = 0.1 the c_t(s) quadrature misses its gamma-form cross-check
+        code, _ = run("profile", "--s", "0.1", "--t", "1")
+        assert code == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.startswith("quadrature not certified: ")
+        assert err.count("\n") == 1
+
 
 class TestEvolve:
     def write_expansion(self, tmp_path, text="0 0 1.0\n"):
@@ -252,6 +265,19 @@ class TestVerify:
     def test_unknown_suite_parse_error(self):
         code, _ = run("verify", "bogus")
         assert code == EXIT_PARSE
+
+
+class TestModuleEntry:
+    def test_python_m_dyadiff_matches_main(self):
+        env = dict(os.environ)
+        src_dir = str(Path(dyadiff.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyadiff", "delta", "0.25", "0.75"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout) == run_json("delta", "0.25", "0.75")
 
 
 class TestTruncationOverrides:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dyadiff.dyadic import (
     DyadicInterval,
     DyadicPoint,
-    ancestor_chain,
     dyadic_distance,
     haar_eval,
     interval_containing,
@@ -38,6 +37,15 @@ class TestDyadicPoint:
     def test_rejects_non_dyadic(self):
         with pytest.raises(ValueError):
             DyadicPoint.from_fraction(Fraction(1, 3))
+
+    def test_huge_exponent_canonicalised_in_one_shift(self):
+        assert DyadicPoint(1 << 10**6, 10**6) == DyadicPoint(1, 0)
+        assert DyadicPoint(3 << 10**6, 10**6 + 2) == DyadicPoint(3, 2)
+
+    @given(st.integers(0, 1 << 40), st.integers(0, 120), st.integers(0, 200))
+    def test_canonical_form_matches_fraction(self, odd_part, zeros, e):
+        m = odd_part << zeros
+        assert DyadicPoint(m, e) == DyadicPoint.from_fraction(Fraction(m, 2**e))
 
     def test_float_round_trip(self):
         assert DyadicPoint.from_float(0.75) == pt("3/4")
@@ -163,27 +171,6 @@ class TestHaar:
     def test_support(self, interval, x):
         value = haar_eval(interval, x)
         assert (value != 0.0) == interval.contains(x)
-
-
-class TestAncestorChain:
-    def test_examples(self):
-        assert ancestor_chain(DyadicInterval(1, 1), 3) == [
-            DyadicInterval(1, 1),
-            DyadicInterval(0, 0),
-            DyadicInterval(-1, 0),
-        ]
-        assert ancestor_chain(DyadicInterval(5, 7), 1) == [DyadicInterval(5, 7)]
-        assert ancestor_chain(DyadicInterval(-1, 1), 2) == [
-            DyadicInterval(-1, 1),
-            DyadicInterval(-2, 0),
-        ]
-
-    @given(intervals)
-    def test_lengths_double(self, interval):
-        chain = ancestor_chain(interval, 5)
-        for a, b in zip(chain, chain[1:]):
-            assert b.length == 2 * a.length
-            assert b.contains_interval(a)
 
 
 @given(points, st.integers(-20, 20))

@@ -6,7 +6,8 @@ import mpmath as mp
 import pytest
 
 from dyadiff.dyadic import DyadicInterval, DyadicPoint
-from dyadiff.exceptions import ExpansionParseError
+from dyadiff import laplacian
+from dyadiff.exceptions import ExpansionParseError, ResidualTooLarge
 from dyadiff.laplacian import (
     HaarExpansion,
     PiecewiseDyadicFunction,
@@ -186,6 +187,29 @@ class TestEigenvalue:
         # call is the assertion
         for s in (0.25, 0.5, 0.75):
             haar_eigenvalue(DyadicInterval(2, 3), s, residual_tol=1e-10)
+
+    def test_one_operator_call_per_sample(self, monkeypatch):
+        calls = []
+        original = laplacian.apply_laplacian
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(laplacian, "apply_laplacian", counting)
+        haar_eigenvalue(DyadicInterval(0, 0), 0.5, samples=16)
+        assert len(calls) == len(set(calls)) == 16
+
+    def test_residual_catches_one_bad_sample(self, monkeypatch):
+        original = laplacian.apply_laplacian
+        bad = DyadicPoint(1, 5)  # the first of the 16 sample points of [0, 1)
+
+        def perturbed(f, x, *args, **kwargs):
+            return original(f, x, *args, **kwargs) + (1e-6 if x == bad else 0.0)
+
+        monkeypatch.setattr(laplacian, "apply_laplacian", perturbed)
+        with pytest.raises(ResidualTooLarge):
+            haar_eigenvalue(DyadicInterval(0, 0), 0.5, samples=16)
 
 
 class TestHaarExpansion:

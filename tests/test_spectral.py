@@ -19,8 +19,8 @@ from dyadiff.spectral import (
     c_t_s,
     distance_closed,
     distance_spectral,
-    eta,
     kernel_K,
+    log_psi_sq,
     log_psi_sq_increment,
     psi,
     psi_infinity,
@@ -72,11 +72,20 @@ def kernel_oracle(x: Fraction, y: Fraction, s, t, level_range=40):
         return float(total)
 
 
+def eta_via_psi(p, sigma, trunc=DEFAULT_TRUNC):
+    """eta_t(sigma) = (lam / 2) psi_t(lam)^2 at lam = sigma^(-1/s)."""
+    lam = sigma ** (-1.0 / p.s)
+    return 0.5 * lam * math.exp(log_psi_sq(p, lam, trunc))
+
+
 class TestEta:
+    """The series eta_t behind psi_t(lam)^2 = (2/lam) eta_t(lam^-s), read back
+    through log_psi_sq and checked against the raw series."""
+
     def test_against_partial_sum_oracle(self):
         # the certified discarded tail may be up to tail_tol in absolute size
         p = DiffusionParams(1.0, 1.0)
-        assert eta(p, 1.0) == pytest.approx(
+        assert eta_via_psi(p, 1.0) == pytest.approx(
             eta_oracle(1.0, 1.0, 1.0), abs=DEFAULT_TRUNC.tail_tol
         )
 
@@ -86,13 +95,13 @@ class TestEta:
         p = DiffusionParams(s, t)
         for sigma in (0.25, 1.0, 7.0):
             expected = eta_oracle(s, t, sigma)
-            assert eta(p, sigma) == pytest.approx(
+            assert eta_via_psi(p, sigma) == pytest.approx(
                 expected, abs=DEFAULT_TRUNC.tail_tol, rel=1e-9
             )
 
     def test_vanishes_for_large_sigma(self):
         p = DiffusionParams(1.0, 1.0)
-        assert eta(p, 1e6) < 1e-30
+        assert eta_via_psi(p, 1e6) < 1e-30
 
     def test_decreasing_in_sigma(self):
         # at sigma = 2^9 the true value (~1e-445) underflows double precision,
@@ -106,16 +115,21 @@ class TestEta:
             assert big < small
         # the implementation resolves the same monotonicity where doubles can
         p = DiffusionParams(1.0, 1.0)
-        assert eta(p, 2.0**5) < eta(p, 2.0**4)
+        assert eta_via_psi(p, 2.0**5) < eta_via_psi(p, 2.0**4)
 
     def test_rejects_nonpositive_sigma(self):
+        # sigma = lam^-s is positive for every lam > 0; other lam are rejected
+        p = DiffusionParams(1.0, 1.0)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                log_psi_sq(p, lam)
         with pytest.raises(ValueError):
-            eta(DiffusionParams(1.0, 1.0), 0.0)
+            psi(p, -1.0)
 
     def test_cap_exceeded_on_pathological_parameters(self):
         tiny = TruncationPolicy(tail_tol=1e-12, max_terms=3, max_depth=5)
         with pytest.raises(CapExceeded):
-            eta(DiffusionParams(0.25, 1e-8), 1e-8, tiny)
+            eta_via_psi(DiffusionParams(0.25, 1e-8), 1e-8, tiny)
 
 
 class TestPsi:
@@ -247,6 +261,25 @@ class TestDistance:
             spectral = distance_spectral(pt(a), pt(b), p)
             assert spectral == pytest.approx(closed, abs=2e-10)
 
+    def test_routes_agree_below_square_root_of_double_floor(self):
+        # squared distances here underflow double precision; the spectral
+        # route sums in units of the separating term and keeps full accuracy
+        checked = 0
+        for s in (0.5, 1.0, 2.0):
+            for t in (0.1, 1.0, 10.0):
+                p = DiffusionParams(s, t)
+                for e in range(1, 2000):
+                    x, y = DyadicPoint(0), DyadicPoint(1, e)
+                    closed = distance_closed(x, y, p)
+                    if closed < 1e-300:
+                        break
+                    if closed <= 1e-154:
+                        assert distance_spectral(x, y, p) == pytest.approx(
+                            closed, rel=1e-12, abs=0.0
+                        )
+                        checked += 1
+        assert checked >= 9
+
     def test_single_separating_wavelet_lower_bound(self):
         for t in (0.1, 1.0, 10.0):
             p = DiffusionParams(1.0, t)
@@ -374,6 +407,29 @@ class TestBallRadiusTransfer:
                 r1 = 0.6 * psi_infinity(p1)
                 r2 = ball_radius_transfer(x, r1, t1, t2, s)
                 assert ball(x, r1, p1) == ball(x, r2, DiffusionParams(s, t2))
+
+    def test_window_below_one_ulp_raises(self):
+        # (psi_t2(|I|), psi_t2(2|I|)] is narrower than one ulp at this ratio
+        with pytest.raises(ValueError, match="no double radius"):
+            ball_radius_transfer(pt("13/8"), 1.0187e-05, 1e3, 1e-3, 0.5)
+
+    @given(
+        points,
+        st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0]),
+        st.floats(1e-3, 1e3),
+        st.floats(-6.0, 6.0),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_returned_radius_gives_same_ball(self, x, s, t1, log_ratio, frac):
+        t2 = t1 * 10.0**log_ratio
+        p1 = DiffusionParams(s, t1)
+        r1 = frac * psi_infinity(p1)
+        try:
+            r2 = ball_radius_transfer(x, r1, t1, t2, s)
+        except ValueError:
+            return
+        assert ball(x, r1, p1) == ball(x, r2, DiffusionParams(s, t2))
 
     def test_rejects_radius_at_infinity(self):
         p = DiffusionParams(1.0, 1.0)
