@@ -138,26 +138,16 @@ def rho(r: float, p: GaussianParams) -> float:
     return math.sqrt(rho_sq_closed(r, p))
 
 
-def rho_inverse(value: float, p: GaussianParams, tol: float = 1e-12) -> float:
-    """Invert the strictly increasing profile by bisection."""
+def rho_inverse(value: float, p: GaussianParams) -> float:
+    """Invert the strictly increasing profile in closed form:
+    r = sqrt(-8t log1p(-value^2 / (2 (8 pi t)^(-n/2))))."""
     if value < 0:
         raise ValueError("profile values are nonnegative")
-    if value == 0.0:
-        return 0.0
-    supremum = math.sqrt(2.0 * (8.0 * math.pi * p.t) ** (-p.n / 2.0))
+    sup_sq = 2.0 * (8.0 * math.pi * p.t) ** (-p.n / 2.0)
+    supremum = math.sqrt(sup_sq)
     if value >= supremum:
         raise ValueError(f"profile value {value} at or above supremum {supremum}")
-    hi = 1.0
-    while rho(hi, p) < value:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if rho(mid, p) < value:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.sqrt(-8.0 * p.t * math.log1p(-value * value / sup_sq))
 
 
 def squared_ratio_limit(t1: float, t2: float, n: int) -> float:

@@ -2,10 +2,10 @@
 
 The operator is the singular integral of (f(y) - f(x)) / delta(x, y)^(1+s).
 Relative to a fixed point x, delta(x, .) is constant on each ring
-J_m \\ J_{m+1} along the chain of intervals containing x, and for piecewise
-dyadic-constant f every ring integral is a finite exact sum of piece
-overlaps.  Rings coarser than the support contribute a geometric series
-summed in closed form, rings finer than every piece vanish, so no
+J_m \\ J_{m+1} along the chain of intervals containing x, and every piece
+of a piecewise dyadic-constant f lies in exactly one ring or contains x.
+The operator is then one sum over the ring masses plus a geometric series
+for the rings above the piece containing x, summed in closed form, so no
 quadrature error enters this module at all.
 
 The semigroup acts diagonally on Haar coefficients with multiplier
@@ -27,7 +27,7 @@ from .dyadic import (
     interval_containing,
     pow2_half,
 )
-from .exceptions import CapExceeded, ExpansionParseError, ResidualTooLarge
+from .exceptions import ExpansionParseError, ResidualTooLarge
 from .spectral import DEFAULT_TRUNC, DiffusionParams, TruncationPolicy
 
 
@@ -38,11 +38,16 @@ class PiecewiseDyadicFunction:
     pieces: tuple[tuple[DyadicInterval, float], ...]
 
     def __post_init__(self):
-        intervals = [p for p, _ in self.pieces]
-        for i, a in enumerate(intervals):
-            for b in intervals[i + 1 :]:
-                if not a.disjoint(b):
-                    raise ValueError(f"pieces {a} and {b} overlap")
+        # on the finest grid, sorted by left end, each piece must end by the next start
+        top = max((p.level for p, _ in self.pieces), default=0)
+        spans = sorted(
+            ((p.index << (top - p.level), (p.index + 1) << (top - p.level), p)
+             for p, _ in self.pieces),
+            key=lambda span: span[0],
+        )
+        for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
+            if end > start:
+                raise ValueError(f"pieces {a} and {b} overlap")
 
     @classmethod
     def from_pairs(
@@ -66,10 +71,6 @@ class PiecewiseDyadicFunction:
     def total_abs_integral(self) -> float:
         return math.fsum(abs(v) * float(p.length) for p, v in self.pieces)
 
-    @property
-    def finest_level(self) -> int:
-        return max(p.level for p, _ in self.pieces)
-
 
 def haar_function(I: DyadicInterval) -> PiecewiseDyadicFunction:
     """h_I as a two-piece function."""
@@ -79,61 +80,46 @@ def haar_function(I: DyadicInterval) -> PiecewiseDyadicFunction:
     )
 
 
-def _coarsest_enclosing_level(
-    f: PiecewiseDyadicFunction, x: DyadicPoint, trunc: TruncationPolicy
-) -> int:
-    """Largest j such that the level-j interval containing x covers every piece."""
-    j = min(0, min(p.level for p, _ in f.pieces))
-    for _ in range(trunc.max_terms):
-        enclosing = interval_containing(x, j)
-        if all(enclosing.contains_interval(p) for p, _ in f.pieces):
-            return j
-        j -= 1
-    raise CapExceeded("could not find a common enclosing interval")
+def _rings(
+    f: PiecewiseDyadicFunction, x: DyadicPoint
+) -> tuple[float, int | None, dict[int, float]]:
+    """f(x), the level of the piece containing x (None if none) and the ring
+    masses W_m = int f over J(m) \\ J(m+1), in one pass over the pieces.
+
+    A level-p piece of index k that misses x lies in ring p - bitlength(k ^ k_x),
+    k_x the level-p index of x: the level where the two first share an interval.
+    """
+    fx, own, parts = 0.0, None, {}
+    for piece, value in f.pieces:
+        k_x = interval_containing(x, piece.level).index
+        if k_x == piece.index:
+            fx, own = value, piece.level
+        else:
+            m = piece.level - (k_x ^ piece.index).bit_length()
+            parts.setdefault(m, []).append(math.ldexp(value, -piece.level))
+    return fx, own, {m: math.fsum(v) for m, v in parts.items()}
 
 
-def apply_laplacian(
-    f: PiecewiseDyadicFunction,
-    x: DyadicPoint,
-    s: float,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
-) -> float:
+def apply_laplacian(f: PiecewiseDyadicFunction, x: DyadicPoint, s: float) -> float:
     """Evaluate the fractional Laplacian of order s in (0, 1) at x.
 
-    Ring sum: D f(x) = sum_j 2^(j(1+s)) * int_{J(j) \\ J(j+1)} (f - f(x)),
-    with the coarse rings beyond the support summed as an exact geometric
-    series and the fine rings vanishing once J(j) sits inside one constant
-    region.
+    Ring sum: D f(x) = sum_j 2^(j(1+s)) * int_{J(j) \\ J(j+1)} (f - f(x)).
+    Rings inside the piece containing x (level `own`) give 0; every ring
+    above it carries its mass W_j and -f(x) 2^(j s - 1), the latter summed
+    over j < own as an exact geometric series.
     """
     if not (0.0 < s < 1.0):
         raise ValueError("fractional order s must lie in (0, 1)")
-    if not f.pieces:
-        return 0.0
-    fx = f.evaluate(x)
-    j_fine = f.finest_level
-    j_coarse = _coarsest_enclosing_level(f, x, trunc)
-    terms = []
-    for j in range(j_coarse, j_fine + 1):
-        outer = interval_containing(x, j)
-        inner = interval_containing(x, j + 1)
-        ring_f = math.fsum(
-            value * float(outer.overlap_length(piece) - inner.overlap_length(piece))
-            for piece, value in f.pieces
-        )
-        ring_len = float(outer.length - inner.length)  # 2^-(j+1)
-        terms.append(2.0 ** (j * (1.0 + s)) * (ring_f - fx * ring_len))
-    # Rings at levels j < j_coarse enclose the whole support, so the f part
-    # integrates to 0 and each contributes -f(x) * 2^(j s - 1); geometric sum.
-    if fx != 0.0:
-        j_star = j_coarse - 1
-        terms.append(-fx * 0.5 * 2.0 ** (j_star * s) / (1.0 - 2.0 ** (-s)))
+    fx, own, rings = _rings(f, x)
+    terms = [2.0 ** (m * (1.0 + s)) * w for m, w in rings.items()]
+    if own is not None:
+        terms.append(-fx * 0.5 * 2.0 ** ((own - 1) * s) / (1.0 - 2.0 ** (-s)))
     return math.fsum(terms)
 
 
 def haar_eigenvalue(
     I: DyadicInterval,
     s: float,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
     samples: int = 16,
     residual_tol: float = 1e-10,
 ) -> float:
@@ -149,7 +135,7 @@ def haar_eigenvalue(
         for i in range(samples)
     ]
     heights = [f.evaluate(p) for p in points]
-    values = [-apply_laplacian(f, p, s, trunc) / h for p, h in zip(points, heights)]
+    values = [-apply_laplacian(f, p, s) / h for p, h in zip(points, heights)]
     lam = math.fsum(values) / len(values)
     # |D^s h(p) + lam h(p)| = |h(p)| |lam - v_p| for each measured v_p
     residual = max(abs(h) * abs(lam - v) for h, v in zip(heights, values))
@@ -160,10 +146,10 @@ def haar_eigenvalue(
     return lam
 
 
-def eigenvalue_constant(s: float, trunc: TruncationPolicy = DEFAULT_TRUNC) -> float:
+def eigenvalue_constant(s: float) -> float:
     """m(s) = lambda_I * |I|^s, the measured proportionality constant between
     the integral operator and the |I|^-s scaling (independent of I)."""
-    return haar_eigenvalue(DyadicInterval(0, 0), s, trunc)
+    return haar_eigenvalue(DyadicInterval(0, 0), s)
 
 
 @dataclass(frozen=True)
@@ -259,28 +245,29 @@ def evolve_pointwise(
     """u(x, t) = int K_s(x, y; t) f(y) dy via the chain structure of the kernel.
 
     Only wavelets containing x pair nonzero with the kernel slice, so the sum
-    runs over the bilateral chain of intervals containing x.  Below the
-    finest piece level the inner products vanish exactly; above, each term is
-    bounded by 2^j * int|f|, giving a certified geometric left tail.
+    runs over the chain J(j) of intervals containing x.  The term at level j
+    is exp(-t 2^(j s)) 2^j (F_{j+1} - W_j), with F_{j+1} = int f over J(j+1)
+    and W_j the mass of the ring J(j) \\ J(j+1); it vanishes inside the piece
+    containing x.  At coarse levels each term is bounded by 2^j * int|f|,
+    giving a certified geometric left tail.
     """
-    if not f.pieces:
-        return 0.0
     s, t = params.s, params.t
     mass = f.total_abs_integral()
     if mass == 0.0:
         return 0.0
-    j_fine = f.finest_level
     # include levels down to j_low so the discarded tail sum_{j<j_low} 2^j * mass
     # is below tail_tol
     j_low = min(0, math.floor(math.log2(trunc.tail_tol / mass)))
+    fx, own, rings = _rings(f, x)
+    if own is None:
+        inner, top = 0.0, max(rings)
+    else:
+        inner, top = math.ldexp(fx, -own), own - 1
     terms = []
-    for j in range(j_low, j_fine + 1):
-        chain_interval = interval_containing(x, j)
-        coeff = haar_coefficient(f, chain_interval)
-        if coeff == 0.0:
-            continue
-        mult = math.exp(-t * 2.0 ** (j * s))
-        terms.append(mult * coeff * haar_eval(chain_interval, x))
+    for j in range(top, j_low - 1, -1):
+        w = rings.get(j, 0.0)
+        terms.append(math.exp(-t * 2.0 ** (j * s)) * math.ldexp(inner - w, j))
+        inner += w
     return math.fsum(terms)
 
 

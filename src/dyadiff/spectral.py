@@ -85,13 +85,22 @@ def _right_sum(
     successive-term ratio r = 2 exp(-a 2^(s l) (2^s - 1)) is <= 1/2 (it is
     decreasing in l), at which point the discarded tail is bounded by
     term * r / (1 - r) and required to be <= tail_tol, or <= tail_tol times
-    base + sum when a base is given.
+    base + sum when a base is given.  A sum that leaves the double range
+    before the certificate holds raises CapExceeded.
     """
     growth, tol, total = _pow2(s) - 1.0, trunc.tail_tol, 0.0
     for ell in range(start, start + trunc.max_terms):
         ap = a * _pow2(s * ell)
-        term = math.exp(ell * _LN2 + shift - ap)
+        try:
+            term = math.exp(ell * _LN2 + shift - ap)
+        except OverflowError:
+            term = math.inf
         total += term
+        if total == math.inf:
+            raise CapExceeded(
+                f"series passed the double range at level {ell} "
+                f"before its tail certificate held (s={s}, a={a})"
+            )
         ratio = 2.0 * math.exp(-ap * growth)
         rel = 1.0 if base is None else base + total
         if ratio <= 0.5 and term * ratio / (1.0 - ratio) <= tol * rel:

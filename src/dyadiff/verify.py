@@ -285,7 +285,7 @@ def laplacian_suite(seed: int = 0) -> list[CheckResult]:
         for j in (-3, 0, 3):
             interval = DyadicInterval(j, rng.randrange(0, 4))
             try:
-                lam = laplacian.haar_eigenvalue(interval, s, trunc)
+                lam = laplacian.haar_eigenvalue(interval, s)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 ok = False
                 detail.append(f"s={s}, j={j}: {exc}")
@@ -303,37 +303,36 @@ def laplacian_suite(seed: int = 0) -> list[CheckResult]:
         )
     )
 
-    def random_function(depth=4, pieces=5):
-        pairs = []
+    worst = 0.0
+    trials = 20
+    for _ in range(trials):
+        # f and g come from one pool of disjoint intervals, so a f + b g is
+        # piecewise too
         used = []
-        while len(pairs) < pieces:
-            interval = DyadicInterval(rng.randrange(0, depth), rng.randrange(0, 12))
+        while len(used) < 10:
+            interval = DyadicInterval(rng.randrange(0, 4), rng.randrange(0, 12))
             if all(interval.disjoint(u) for u in used):
                 used.append(interval)
-                pairs.append((interval, rng.uniform(-2, 2)))
-        return laplacian.PiecewiseDyadicFunction.from_pairs(pairs)
-
-    ok = True
-    for _ in range(20):
-        f = random_function()
-        g = random_function()
+        pool = [(i, rng.uniform(-2, 2)) for i in used]
+        f = laplacian.PiecewiseDyadicFunction.from_pairs(pool[:5])
+        g = laplacian.PiecewiseDyadicFunction.from_pairs(pool[5:])
         x = random_point(rng, max_exponent=5, span=12)
         s = rng.uniform(0.1, 0.9)
         a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
         combined = laplacian.PiecewiseDyadicFunction.from_pairs(
             [(i, a * v) for i, v in f.pieces] + [(i, b * v) for i, v in g.pieces]
-        ) if all(
-            fi.disjoint(gi) for fi, _ in f.pieces for gi, _ in g.pieces
-        ) else None
-        if combined is None:
-            continue
-        lhs = laplacian.apply_laplacian(combined, x, s, trunc)
-        rhs = a * laplacian.apply_laplacian(f, x, s, trunc) + b * laplacian.apply_laplacian(
-            g, x, s, trunc
         )
-        if abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-            ok = False
-    out.append(_result("laplacian", "linearity of the integral operator", ok, ""))
+        lhs = laplacian.apply_laplacian(combined, x, s)
+        rhs = a * laplacian.apply_laplacian(f, x, s) + b * laplacian.apply_laplacian(g, x, s)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    out.append(
+        _result(
+            "laplacian",
+            "linearity of the integral operator",
+            worst <= 1e-9,
+            f"max gap = {worst:.3e} over {trials} trials",
+        )
+    )
 
     # On data constant over an ever larger block, the operator at a fixed
     # interior point decays like the geometric boundary tail: the global
@@ -347,7 +346,6 @@ def laplacian_suite(seed: int = 0) -> list[CheckResult]:
                 ),
                 x0,
                 0.5,
-                trunc,
             )
         )
         for j in (2, 6, 10)

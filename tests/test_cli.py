@@ -121,6 +121,13 @@ class TestDistance:
         code, _ = run("distance", "0.25", "0.75")
         assert code == EXIT_PARSE
 
+    def test_series_past_double_range_exits_4(self, capsys):
+        code, _ = run("distance", "0.25", "0.75", "--s", "0.01", "--t", "0.001")
+        assert code == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: ")
+        assert err.count("\n") == 1
+
 
 class TestBall:
     def test_interval_contains_center(self):
@@ -261,6 +268,13 @@ class TestVerify:
             for line in text.splitlines()
             if line.startswith("[")
         )
+
+    def test_laplacian_linearity_runs_every_trial(self):
+        code, text = run("verify", "laplacian")
+        assert code == EXIT_OK
+        line = next(l for l in text.splitlines() if "linearity" in l)
+        assert line.startswith("[PASS]")
+        assert "over 20 trials" in line
 
     def test_unknown_suite_parse_error(self):
         code, _ = run("verify", "bogus")

@@ -130,6 +130,13 @@ class TestProfileShape:
         for r in (0.05, 0.7, 4.0):
             assert rho_inverse(rho(r, p), p) == pytest.approx(r, abs=1e-9)
 
+    def test_rho_inverse_relative_round_trip_at_tiny_radius(self):
+        for n in (1, 2):
+            for t in (0.1, 1.0, 7.0):
+                p = GaussianParams(t, n)
+                back = rho_inverse(rho(1e-14, p), p)
+                assert back == pytest.approx(1e-14, rel=1e-12, abs=0)
+
     def test_rho_inverse_rejects_out_of_range(self):
         p = GaussianParams(1.0, 1)
         sup = math.sqrt(2.0 * (8.0 * math.pi) ** -0.5)

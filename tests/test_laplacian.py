@@ -74,6 +74,30 @@ class TestPiecewise:
                 ((DyadicInterval(0, 0), 1.0), (DyadicInterval(1, 1), 2.0))
             )
 
+    def test_rejects_identical_piece(self):
+        with pytest.raises(ValueError):
+            PiecewiseDyadicFunction(
+                ((DyadicInterval(2, 5), 1.0), (DyadicInterval(2, 5), -1.0))
+            )
+
+    def test_rejects_piece_nested_several_levels_deep(self):
+        # [51/16, 52/16) sits five levels below [2, 4); [0, 1) between them
+        with pytest.raises(ValueError):
+            PiecewiseDyadicFunction(
+                (
+                    (DyadicInterval(-1, 1), 1.0),
+                    (DyadicInterval(0, 0), 3.0),
+                    (DyadicInterval(4, 51), 2.0),
+                )
+            )
+
+    def test_accepts_adjacent_pieces(self):
+        f = PiecewiseDyadicFunction(
+            ((DyadicInterval(2, 4), 2.0), (DyadicInterval(1, 1), 1.0))
+        )
+        assert f.evaluate(pt("3/4")) == 1.0
+        assert f.evaluate(pt("1")) == 2.0
+
     def test_evaluate_and_integrate(self):
         f = PiecewiseDyadicFunction.from_pairs(
             [(DyadicInterval(1, 0), 2.0), (DyadicInterval(1, 1), -1.0)]
@@ -132,6 +156,28 @@ class TestApplyLaplacian:
             f = PiecewiseDyadicFunction.from_pairs(pairs)
             assert apply_laplacian(f, pt(x), s) == pytest.approx(expected, rel=1e-11, abs=1e-12)
 
+    def test_matches_brute_force_on_random_functions(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            used, count = [], rng.randint(1, 5)
+            while len(used) < count:
+                interval = DyadicInterval(rng.randrange(-2, 5), rng.randrange(0, 8))
+                if all(interval.disjoint(u) for u in used):
+                    used.append(interval)
+            pairs = [(i, rng.uniform(-2, 2)) for i in used]
+            raw = [(i.lower, i.upper, v) for i, v in pairs]
+            f = PiecewiseDyadicFunction.from_pairs(pairs)
+            piece = rng.choice(used)
+            inside = piece.lower + Fraction(rng.randrange(0, 64), 64) * piece.length
+            outside = Fraction(rng.randrange(0, 40 * 16), 16)
+            while any(lo <= outside < hi for lo, hi, _ in raw):
+                outside = Fraction(rng.randrange(0, 40 * 16), 16)
+            s = rng.uniform(0.1, 0.9)
+            for x in (inside, outside):
+                assert apply_laplacian(f, pt(x), s) == pytest.approx(
+                    brute_laplacian(raw, x, s), rel=1e-11, abs=1e-12
+                )
+
     def test_haar_is_eigenfunction_example(self):
         # spec'd case: f = h_[0,1), x = 0.25, s = 0.5
         f = haar_function(DyadicInterval(0, 0))
@@ -181,6 +227,14 @@ class TestEigenvalue:
             interval = DyadicInterval(j, k)
             lam = haar_eigenvalue(interval, s)
             assert lam * float(interval.length) ** s == pytest.approx(m, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_constant_matches_closed_form(self, s):
+        closed = 1.0 + 1.0 / (2.0 * (2.0**s - 1.0))
+        for j in range(-5, 6):
+            interval = DyadicInterval(j, 3)
+            lam = haar_eigenvalue(interval, s)
+            assert lam * float(interval.length) ** s == pytest.approx(closed, abs=1e-12)
 
     def test_residual_within_tolerance_at_16_points(self):
         # haar_eigenvalue raises ResidualTooLarge beyond 1e-10; surviving the
@@ -295,6 +349,26 @@ class TestEvolution:
             gap = abs(evolve_pointwise(f, x, p) - evolved.evaluate(x))
             worst = max(worst, gap)
         assert worst <= 1e-10
+
+    def test_routes_agree_at_level_spread_14(self):
+        expansion = HaarExpansion.from_pairs(
+            [(DyadicInterval(0, 0), 1.0), (DyadicInterval(14, 0), 1.0)]
+        )
+        p = DiffusionParams(0.5, 1.0)
+        f = expansion.to_piecewise()
+        evolved = evolve_spectral(expansion, p)
+        for x in (DyadicPoint(1, 16), DyadicPoint(5, 4)):
+            assert evolve_pointwise(f, x, p) == pytest.approx(evolved.evaluate(x), abs=1e-12)
+
+    def test_pointwise_route_reads_no_haar_coefficient(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("evolve_pointwise called haar_coefficient")
+
+        monkeypatch.setattr(laplacian, "haar_coefficient", forbidden)
+        f = HaarExpansion.from_pairs(
+            [(DyadicInterval(0, 0), 1.0), (DyadicInterval(3, 1), -0.5)]
+        ).to_piecewise()
+        evolve_pointwise(f, pt("3/16"), DiffusionParams(0.5, 1.0))
 
     def test_haar_initial_datum_example(self):
         # u(x, t) = e^-t h(x) for f = h_[0,1), s = 1

@@ -162,6 +162,17 @@ class TestPsi:
             )
 
 
+class TestDoubleRange:
+    def test_terms_past_double_range_raise_cap_exceeded(self):
+        # at s = 0.01, t = 1e-3 the terms 2^l exp(-a 2^(s l)) pass e^709
+        # before the ratio certificate holds
+        p = DiffusionParams(0.01, 1e-3)
+        with pytest.raises(CapExceeded, match="double range at level"):
+            log_psi_sq(p, 0.5)
+        with pytest.raises(CapExceeded, match="double range at level"):
+            psi_infinity(p)
+
+
 class TestPsiInfinity:
     def test_against_bilateral_oracle(self):
         p = DiffusionParams(1.0, 1.0)
