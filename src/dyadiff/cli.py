@@ -16,12 +16,13 @@ import argparse
 import json
 import os
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import laplacian, spectral, verify
 from .dyadic import DyadicPoint, dyadic_distance, smallest_common_interval
 from .exceptions import CapExceeded, ExpansionParseError, QuadratureError
-from .spectral import DiffusionParams, TruncationPolicy
+from .spectral import DEFAULT_TRUNC, DiffusionParams, TruncationPolicy
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -33,7 +34,10 @@ DEFAULT_DIGITS = 53
 
 
 def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+    try:
+        return f"{float(v):.17g}"
+    except OverflowError:  # an exact value past the double range
+        return f"{Context(prec=17).divide(Decimal(v.numerator), Decimal(v.denominator)):.17g}"
 
 
 def parse_point(text: str, digits: int) -> tuple[DyadicPoint, Fraction]:
@@ -54,13 +58,8 @@ def parse_point(text: str, digits: int) -> tuple[DyadicPoint, Fraction]:
 
 
 def _trunc_from_args(args) -> TruncationPolicy:
-    tail_tol = args.tail_tol
-    if tail_tol is None:
-        tail_tol = float(os.environ.get("DYADIFF_TAIL_TOL", 1e-12))
-    max_depth = args.max_depth
-    if max_depth is None:
-        max_depth = int(os.environ.get("DYADIFF_MAX_DEPTH", 200))
-    return TruncationPolicy(tail_tol=tail_tol, max_depth=max_depth)
+    max_depth = getattr(args, "max_depth", DEFAULT_TRUNC.max_depth)
+    return TruncationPolicy(tail_tol=args.tail_tol, max_depth=max_depth)
 
 
 def _interval_record(interval) -> dict:
@@ -130,8 +129,6 @@ def cmd_distance(args, out) -> int:
 
 def cmd_ball(args, out) -> int:
     x, rx = parse_point(args.x, args.digits)
-    if not (args.r > 0):
-        raise ValueError("radius must be positive")
     params = DiffusionParams(args.s, args.t)
     trunc = _trunc_from_args(args)
     result = spectral.ball(x, args.r, params, trunc)
@@ -220,45 +217,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_params=True):
-        p.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                       help="binary digits kept when rounding decimal inputs")
-        p.add_argument("--tail-tol", type=float, default=None,
-                       help="absolute tail tolerance for truncated series")
-        p.add_argument("--max-depth", type=int, default=None,
+    # each subcommand takes exactly the flags it reads; argparse converts a
+    # string default with the flag's type, so the environment parses like a flag
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+                        help="binary digits kept when rounding decimal inputs")
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--s", type=float, required=True, help="fractional order s > 0")
+    series.add_argument("--t", type=float, required=True, help="diffusion time t > 0")
+    series.add_argument("--tail-tol", type=float,
+                        default=os.environ.get("DYADIFF_TAIL_TOL", "1e-12"),
+                        help="absolute tail tolerance for truncated series")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--max-depth", type=int,
+                       default=os.environ.get("DYADIFF_MAX_DEPTH", "200"),
                        help="finest wavelet level enumerated in spectral sums")
-        if with_params:
-            p.add_argument("--s", type=float, required=True, help="fractional order s > 0")
-            p.add_argument("--t", type=float, required=True, help="diffusion time t > 0")
 
-    p = sub.add_parser("delta", help="dyadic distance and minimal common interval")
+    p = sub.add_parser("delta", parents=[digits],
+                       help="dyadic distance and minimal common interval")
     p.add_argument("x")
     p.add_argument("y")
-    add_common(p, with_params=False)
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("distance", help="diffusion distance d_t(x, y)")
+    p = sub.add_parser("distance", parents=[digits, series, depth],
+                       help="diffusion distance d_t(x, y)")
     p.add_argument("x")
     p.add_argument("y")
-    add_common(p)
     p.add_argument("--method", choices=("closed", "spectral", "both"), default="closed")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("ball", help="diffusion ball around x of radius r")
+    p = sub.add_parser("ball", parents=[digits, series, depth],
+                       help="diffusion ball around x of radius r")
     p.add_argument("x")
     p.add_argument("r", type=float)
-    add_common(p)
     p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("profile", help="table of psi_t over powers of 2")
-    add_common(p)
+    p = sub.add_parser("profile", parents=[series], help="table of psi_t over powers of 2")
     p.add_argument("--i-min", type=int, default=-20)
     p.add_argument("--i-max", type=int, default=20)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("evolve", help="heat evolution of a Haar expansion file")
+    p = sub.add_parser("evolve", parents=[digits, series],
+                       help="heat evolution of a Haar expansion file")
     p.add_argument("input", help="expansion file: one `j k coefficient` per line")
-    add_common(p)
     p.add_argument("--query", nargs="*", default=[],
                    help="points at which to evaluate both evolution routes")
     p.add_argument("--out", default=None, help="write the evolved expansion here")
@@ -283,10 +284,7 @@ def main(argv=None, out=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args, out)
-    except ExpansionParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ExpansionParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:

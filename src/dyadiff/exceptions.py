@@ -18,7 +18,7 @@ class ResidualTooLarge(DyadiffError, ArithmeticError):
 
 
 class QuadratureError(DyadiffError, RuntimeError):
-    """Adaptive quadrature failed to converge or disagreed with its cross-check."""
+    """Adaptive quadrature or a limit sequence failed to converge."""
 
 
 class ExpansionParseError(DyadiffError, ValueError):

@@ -14,12 +14,10 @@ domain is truncated with an analytically negligible Gaussian tail.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-from scipy.integrate import quad
 
 from .exceptions import QuadratureError
 
@@ -38,12 +36,14 @@ class GaussianParams:
             raise ValueError("dimension n must be >= 1")
 
 
+def _coords(x) -> tuple[float, ...]:
+    """A point as a tuple of floats; a real number is a point of dimension 1."""
+    return (float(x),) if isinstance(x, numbers.Real) else tuple(map(float, x))
+
+
 def weierstrass(x, p: GaussianParams) -> float:
     """W_t(x) = (4 pi t)^(-n/2) exp(-|x|^2 / 4t)."""
-    if np.isscalar(x):
-        sq = float(x) ** 2
-    else:
-        sq = float(np.dot(x, x))
+    sq = math.fsum(v * v for v in _coords(x))
     return (4.0 * math.pi * p.t) ** (-p.n / 2.0) * math.exp(-sq / (4.0 * p.t))
 
 
@@ -59,6 +59,8 @@ def _truncation_halfwidth(t: float) -> float:
 
 def _pair_integral_1d(a: float, b: float, t: float, quad_tol: float) -> float:
     """int w(a - u) w(b - u) du over a certified truncation window."""
+    from scipy.integrate import quad
+
     lo = min(a, b) - _truncation_halfwidth(t)
     hi = max(a, b) + _truncation_halfwidth(t)
     value, err = quad(
@@ -86,9 +88,8 @@ def d_sq_quadrature(
     """
     if p.n not in (1, 2):
         raise ValueError("quadrature route supports n in {1, 2}")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    if xv.shape != (p.n,) or yv.shape != (p.n,):
+    xv, yv = _coords(x), _coords(y)
+    if len(xv) != p.n or len(yv) != p.n:
         raise ValueError(f"points must have dimension {p.n}")
     per_dim_tol = quad_tol / (4.0 * p.n)
     xx = cross = yy = 1.0
@@ -108,9 +109,8 @@ def rho_sq_quadrature(
         raise ValueError("r must be nonnegative")
     if r == 0.0:
         return 0.0
-    e1 = np.zeros(p.n)
-    e1[0] = r
-    return d_sq_quadrature(e1, np.zeros(p.n), p, quad_tol)
+    origin = (0.0,) * p.n
+    return d_sq_quadrature((r,) + origin[1:], origin, p, quad_tol)
 
 
 def rho_sq_closed(r: float, p: GaussianParams) -> float:
@@ -205,24 +205,25 @@ def translation_rotation_invariance_check(
     worst = 0.0
     violations = []
     for trial in range(trials):
-        x = np.array([rng.uniform(-2, 2) for _ in range(p.n)])
-        y = np.array([rng.uniform(-2, 2) for _ in range(p.n)])
-        v = np.array([rng.uniform(-3, 3) for _ in range(p.n)])
+        x = [rng.uniform(-2, 2) for _ in range(p.n)]
+        y = [rng.uniform(-2, 2) for _ in range(p.n)]
+        v = [rng.uniform(-3, 3) for _ in range(p.n)]
         base = d_sq_quadrature(x, y, p, quad_tol)
-        shifted = d_sq_quadrature(x + v, y + v, p, quad_tol)
+        shifted = d_sq_quadrature(
+            [a + b for a, b in zip(x, v)], [a + b for a, b in zip(y, v)], p, quad_tol
+        )
         gap = abs(math.sqrt(base) - math.sqrt(shifted))
         worst = max(worst, gap)
         if gap > tol:
             violations.append(f"trial {trial}: translation gap {gap}")
         if p.n == 2:
             theta = rng.uniform(0, 2 * math.pi)
-            rot = np.array(
-                [
-                    [math.cos(theta), -math.sin(theta)],
-                    [math.sin(theta), math.cos(theta)],
-                ]
-            )
-            rotated = d_sq_quadrature(rot @ x, rot @ y, p, quad_tol)
+            c, s = math.cos(theta), math.sin(theta)
+
+            def rot(z):
+                return (c * z[0] - s * z[1], s * z[0] + c * z[1])
+
+            rotated = d_sq_quadrature(rot(x), rot(y), p, quad_tol)
             gap = abs(math.sqrt(base) - math.sqrt(rotated))
             worst = max(worst, gap)
             if gap > tol:

@@ -28,7 +28,7 @@ from .dyadic import (
     pow2_half,
 )
 from .exceptions import ExpansionParseError, ResidualTooLarge
-from .spectral import DEFAULT_TRUNC, DiffusionParams, TruncationPolicy
+from .spectral import DEFAULT_TRUNC, DiffusionParams, TruncationPolicy, _pow2
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,10 @@ def expand(
 
 def evolve_spectral(f: HaarExpansion, params: DiffusionParams) -> HaarExpansion:
     """Diagonal semigroup action: each coefficient on I picks up
-    exp(-t |I|^-s) = exp(-t 2^(j s))."""
+    exp(-t |I|^-s) = exp(-t 2^(j s)), which is 0 once 2^(j s) overflows."""
     s, t = params.s, params.t
     return HaarExpansion.from_pairs(
-        (I, c * math.exp(-t * 2.0 ** (I.level * s))) for I, c in f.coefficients
+        (I, c * math.exp(-t * _pow2(I.level * s))) for I, c in f.coefficients
     )
 
 
@@ -266,7 +266,7 @@ def evolve_pointwise(
     terms = []
     for j in range(top, j_low - 1, -1):
         w = rings.get(j, 0.0)
-        terms.append(math.exp(-t * 2.0 ** (j * s)) * math.ldexp(inner - w, j))
+        terms.append(math.exp(-t * _pow2(j * s)) * math.ldexp(inner - w, j))
         inner += w
     return math.fsum(terms)
 

@@ -17,11 +17,10 @@ until the discarded tail is certified, instead of a fixed term count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
-
-from scipy.integrate import quad
 
 from .dyadic import (
     DyadicPoint,
@@ -31,9 +30,10 @@ from .dyadic import (
     interval_containing,
     smallest_common_interval,
 )
-from .exceptions import CapExceeded, QuadratureError
+from .exceptions import CapExceeded
 
 _LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -135,23 +135,32 @@ def log_psi_sq(
     lam: Union[float, Fraction],
     trunc: TruncationPolicy = DEFAULT_TRUNC,
 ) -> float:
-    """log(psi_t(lam)^2) for lam > 0, stable against underflow.
+    """log(psi_t(lam)^2) for a finite lam > 0, stable against under- and overflow.
 
-    Factoring the leading term out of eta gives
-    psi^2 = (4/lam) exp(-2 t sigma) (1 + S),
-    S = sum_{l>=1} 2^(l-1) exp(-2 t sigma (2^(s l) - 1)),
-    so the log stays finite far below the double underflow threshold of the
-    direct route.  S is certified relative to 1 + S.  Returns -inf when sigma
-    overflows (lam so small that psi is an exact floating-point 0).
+    With lam = mu 2^i, a1 = 2 t mu^-s and a = 2 t lam^-s = a1 2^(-i s),
+    psi^2 = 2^(1+u-i) mu^-1 exp(-a) (2^(1-u) + T),
+    T = sum_{k>=1-i} 2^(k+i-u) exp(a - a1 2^(s k)),
+    summed in units 2^(u-1), u = max(i, 1), that keep T and a1 2^(s k)
+    inside the double range at both ends of the level range.  T is certified
+    relative to 2^(1-u) + T.  Returns -inf when a overflows (lam so small
+    that psi is an exact floating-point 0).
     """
-    lam_f = float(lam)
-    if not (lam_f > 0.0):
+    n, d = lam.as_integer_ratio()
+    if n <= 0:
         raise ValueError("lam must be positive")
-    a = 2.0 * params.t * lam_f ** (-params.s)
+    i = n.bit_length() - d.bit_length()  # lam = mu 2^i with mu in [1, 2]
+    num, den = (n, d << i) if i >= 0 else (n << -i, d)
+    if num < den:
+        num, i = 2 * num, i - 1
+    s, mu = params.s, num / den
+    a1 = 2.0 * params.t * mu ** (-s)
+    a = a1 * _pow2(-i * s)
     if math.isinf(a):
         return -math.inf
-    total, _ = _right_sum(a, params.s, 1, trunc, shift=a - _LN2, base=1.0)
-    return 2.0 * _LN2 - math.log(lam_f) - a + math.log1p(total)
+    u = i if i > 0 else 1
+    base = math.ldexp(1.0, 1 - u)
+    total, _ = _right_sum(a1, s, 1 - i, trunc, shift=a + (i - u) * _LN2, base=base)
+    return (1 + u - i) * _LN2 - math.log(mu) - a + math.log(base + total)
 
 
 def psi(
@@ -164,12 +173,7 @@ def psi(
     Evaluated as exp(log_psi_sq / 2), which keeps values representable all
     the way down to the denormal floor instead of underflowing at the square.
     """
-    lam_f = float(lam)
-    if lam_f < 0:
-        raise ValueError("lam must be nonnegative")
-    if lam_f == 0.0:
-        return 0.0
-    return math.exp(0.5 * log_psi_sq(params, lam, trunc))
+    return 0.0 if lam == 0 else math.exp(0.5 * log_psi_sq(params, lam, trunc))
 
 
 def log_psi_sq_increment(params: DiffusionParams, i: int) -> float:
@@ -204,34 +208,25 @@ def psi_infinity(
     return math.sqrt(2.0 * _bilateral_sum(params.s, 2.0 * params.t, trunc))
 
 
-def c_t_s(
-    params: DiffusionParams,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
-    quad_tol: float = 1e-8,
-) -> float:
+def c_t_s(params: DiffusionParams) -> float:
     """c_t(s) = t^(-1/(2s)) * sqrt(integral_0^inf exp(-2 x^s) dx).
 
-    The integral is evaluated by adaptive quadrature and cross-checked
-    against Gamma(1 + 1/s) * 2^(-1/s) (substitution u = 2 x^s).
+    The substitution u = 2 x^s gives the integral as Gamma(1 + 1/s) 2^(-1/s),
+    evaluated here in log scale; `verify` checks it against quadrature.
+    Raises CapExceeded when c is past the double range.
     """
     s, t = params.s, params.t
-    # full_output keeps SciPy's warning off stderr: the check below reports it
-    value, err, *_ = quad(
-        lambda x: math.exp(-2.0 * x**s), 0.0, math.inf, epsabs=1e-13, limit=400, full_output=1
-    )
-    closed = math.gamma(1.0 + 1.0 / s) * 2.0 ** (-1.0 / s)
-    if err > 1e-6 or abs(value - closed) > quad_tol * max(1.0, closed):
-        raise QuadratureError(
-            f"c_t(s) quadrature {value} disagrees with gamma form {closed} (err={err})"
-        )
-    return t ** (-1.0 / (2.0 * s)) * math.sqrt(value)
+    log_c = 0.5 * (math.lgamma(1.0 + 1.0 / s) - (_LN2 + math.log(t)) / s)
+    if not log_c <= _LOG_MAX:
+        raise CapExceeded(f"c_t(s) = exp({log_c}) is past the double range (s={s}, t={t})")
+    return math.exp(log_c)
 
 
 def sandwich(
     params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> tuple[float, float, float]:
     """(sqrt(2)*c, psi_infinity, 2*c): the strict two-sided bound on the limit."""
-    c = c_t_s(params, trunc)
+    c = c_t_s(params)
     return math.sqrt(2.0) * c, psi_infinity(params, trunc), 2.0 * c
 
 

@@ -188,16 +188,25 @@ def spectral_suite(seed: int = 0, pairs: int = 60) -> list[CheckResult]:
         )
     )
 
-    ok = True
-    detail = []
+    from scipy.integrate import quad
+
+    # c_t(s) by its second route: quadrature of integral_0^inf exp(-2 x^s) dx
+    failures, worst = [], 0.0
     for s in _S_GRID:
+        # full_output keeps SciPy's warning off stderr: err is checked below
+        integral, err, *_ = quad(lambda x: math.exp(-2.0 * x**s), 0.0, math.inf,
+                                 epsabs=1e-13, limit=400, full_output=1)
         for t in _T_GRID:
-            lo, mid, hi = spectral.sandwich(DiffusionParams(s, t), trunc)
-            if not (lo < mid < hi):
-                ok = False
-                detail.append(f"s={s}, t={t}: {lo} / {mid} / {hi}")
+            p = DiffusionParams(s, t)
+            c_quad = t ** (-1.0 / (2.0 * s)) * math.sqrt(integral)
+            gap = abs(spectral.c_t_s(p) - c_quad) / max(1.0, c_quad)
+            worst = max(worst, gap)
+            lo, mid, hi = spectral.sandwich(p, trunc)
+            if not (lo < mid < hi) or err > 1e-6 or gap > 1e-8:
+                failures.append(f"s={s}, t={t}: {lo} / {mid} / {hi}, quad err {err:.1e}")
+    detail = [f"max |c - c_quad| / max(1, c_quad) = {worst:.3e}"] + failures
     out.append(
-        _result("spectral", "sqrt(2)c < psi_inf < 2c sandwich", ok, "; ".join(detail))
+        _result("spectral", "sqrt(2)c < psi_inf < 2c sandwich", not failures, "; ".join(detail))
     )
 
     ok = True

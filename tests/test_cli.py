@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dyadiff
+from dyadiff import verify
 from dyadiff.cli import (
     DEFAULT_DIGITS,
     EXIT_CAP,
@@ -20,6 +21,8 @@ from dyadiff.cli import (
     main,
     parse_point,
 )
+from dyadiff.exceptions import QuadratureError
+from dyadiff.spectral import DiffusionParams, psi_infinity
 
 
 def run(*argv):
@@ -86,6 +89,12 @@ class TestDelta:
         code, _ = run("delta", "zebra", "0.5")
         assert code == EXIT_PARSE
 
+    def test_delta_past_double_range(self):
+        # delta = 2^1024 is exact but no double; it prints to 17 digits
+        doc = run_json("delta", "0", "1.5e308")
+        assert doc["delta"] == "1.7976931348623159e+308"
+        assert doc["interval"]["upper"] == doc["delta"]
+
 
 class TestDistance:
     def test_both_routes_agree(self):
@@ -121,6 +130,14 @@ class TestDistance:
         code, _ = run("distance", "0.25", "0.75")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "y, s", [("1.5e308", "1"), (str(2**514), "2")]
+    )
+    def test_top_of_level_range_reaches_limit(self, y, s):
+        doc = run_json("distance", "0", y, "--s", s, "--t", "1")
+        limit = psi_infinity(DiffusionParams(float(s), 1.0))
+        assert float(doc["closed"]) == pytest.approx(limit, rel=1e-9)
+
     def test_series_past_double_range_exits_4(self, capsys):
         code, _ = run("distance", "0.25", "0.75", "--s", "0.01", "--t", "0.001")
         assert code == EXIT_CAP
@@ -146,8 +163,8 @@ class TestBall:
 
 
 class TestProfile:
-    def run_rows(self, *extra):
-        code, text = run("profile", "--s", "1", "--t", "1", *extra)
+    def run_rows(self, *extra, s="1"):
+        code, text = run("profile", "--s", s, "--t", "1", *extra)
         assert code == EXIT_OK
         rows = []
         footer = {}
@@ -185,13 +202,25 @@ class TestProfile:
         code, _ = run("profile", "--s", "1", "--t", "1", "--i-min", "3", "--i-max", "1")
         assert code == EXIT_RANGE
 
-    def test_uncertified_quadrature_exits_4(self, capsys):
-        # at s = 0.1 the c_t(s) quadrature misses its gamma-form cross-check
-        code, _ = run("profile", "--s", "0.1", "--t", "1")
+    def test_small_order_within_sandwich(self):
+        # c_t(s) is in closed form, so s = 0.1 needs no quadrature
+        _, footer = self.run_rows("--i-min", "0", "--i-max", "2", s="0.1")
+        assert footer["sandwich_lower"] < footer["psi_infinity"] < footer["sandwich_upper"]
+
+    def test_c_past_double_range_exits_4(self, capsys):
+        code, _ = run("profile", "--s", "0.001", "--t", "1")
         assert code == EXIT_CAP
         err = capsys.readouterr().err
-        assert err.startswith("quadrature not certified: ")
+        assert err.startswith("cap exceeded: ")
         assert err.count("\n") == 1
+
+    def test_top_of_level_range(self):
+        rows, footer = self.run_rows("--i-min", "500", "--i-max", "1024", s="2")
+        assert rows[-1][0] == 1024 and rows[-1][1] == math.inf  # 2^1024 reads back as inf
+        psis = [r[2] for r in rows]
+        assert psis == sorted(psis)
+        limit = footer["psi_infinity"]
+        assert all(abs(v - limit) <= 1e-9 * limit for i, _, v in rows if i >= 510)
 
 
 class TestEvolve:
@@ -252,6 +281,15 @@ class TestEvolve:
         code, _ = run("evolve", str(tmp_path / "nope.txt"), "--s", "1", "--t", "1")
         assert code == EXIT_PARSE
 
+    def test_fine_coefficient_decays_to_zero(self, tmp_path):
+        # 2^(level s) = 2^1200 is past the double range; the multiplier is 0
+        src = self.write_expansion(tmp_path, "600 0 1.0\n")
+        code, text = run("evolve", src, "--s", "2", "--t", "1", "--query", "0")
+        assert code == EXIT_OK
+        rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+        assert rows[0] == ["600", "0", "0.0"]
+        assert float(rows[1][3]) == 0.0
+
 
 class TestVerify:
     def test_all_suites_pass(self):
@@ -280,18 +318,59 @@ class TestVerify:
         code, _ = run("verify", "bogus")
         assert code == EXIT_PARSE
 
+    def test_uncertified_quadrature_exits_4(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise QuadratureError("integral error estimate 1e-3")
+
+        monkeypatch.setattr(verify, "run_verify", fail)
+        code, _ = run("verify", "all")
+        assert code == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.startswith("quadrature not certified: ")
+        assert err.count("\n") == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("delta", "0.25", "0.75", "--max-depth", "3"),
+            ("delta", "0.25", "0.75", "--tail-tol", "1e-6"),
+            ("profile", "--s", "1", "--t", "1", "--digits", "10"),
+            ("profile", "--s", "1", "--t", "1", "--max-depth", "3"),
+            ("evolve", "in.txt", "--s", "1", "--t", "1", "--max-depth", "3"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        code, _ = run(*argv)
+        assert code == EXIT_PARSE
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def run_python(*argv):
+    """Run the interpreter on argv with this dyadiff on the import path."""
+    env = dict(os.environ)
+    src_dir = str(Path(dyadiff.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+
 
 class TestModuleEntry:
     def test_python_m_dyadiff_matches_main(self):
-        env = dict(os.environ)
-        src_dir = str(Path(dyadiff.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dyadiff", "delta", "0.25", "0.75"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-m", "dyadiff", "delta", "0.25", "0.75")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout) == run_json("delta", "0.25", "0.75")
+
+    def test_cli_import_loads_neither_scipy_nor_numpy(self):
+        proc = run_python(
+            "-c",
+            "import sys, dyadiff.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestTruncationOverrides:

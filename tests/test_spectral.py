@@ -161,6 +161,27 @@ class TestPsi:
                 direct, rel=1e-10
             )
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, 8.0])
+    def test_non_decreasing_up_to_top_level(self, s):
+        # a 2^(s l) used to overflow once s l >= 1024, dropping the tail there
+        p = DiffusionParams(s, 1.0)
+        values = [log_psi_sq(p, Fraction(2) ** i) for i in range(90, 1025)]
+        assert values == sorted(values)
+        # both sides certify their tails to tail_tol = 1e-12
+        limit = 2.0 * math.log(psi_infinity(p))
+        assert max(abs(v - limit) for v in values) < 4e-12
+
+    @given(
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=-900, max_value=900),
+        st.sampled_from([0.25, 1.0, 2.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_and_float_arguments_agree(self, m, i, s):
+        lam = Fraction(2 * m + 1) * Fraction(2) ** i
+        p = DiffusionParams(s, 1.0)
+        assert log_psi_sq(p, lam) == log_psi_sq(p, float(lam))
+
 
 class TestDoubleRange:
     def test_terms_past_double_range_raise_cap_exceeded(self):
@@ -210,6 +231,17 @@ class TestCts:
         assert c_t_s(DiffusionParams(2.0, 1.0)) == pytest.approx(
             math.sqrt(math.gamma(1.5) * 2**-0.5), rel=1e-10
         )
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_closed_form_on_grid(self, s, t):
+        expected = t ** (-1 / (2 * s)) * math.sqrt(math.gamma(1 + 1 / s) * 2 ** (-1 / s))
+        assert c_t_s(DiffusionParams(s, t)) == pytest.approx(expected, rel=1e-13)
+
+    def test_past_double_range_raises_cap_exceeded(self):
+        # Gamma(1 + 1/s) alone overflows for s below about 0.0058
+        with pytest.raises(CapExceeded, match="past the double range"):
+            c_t_s(DiffusionParams(0.001, 1.0))
 
 
 class TestKernel:
