@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "spectral", "both"), default="closed")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("ball", parents=[digits, series, depth],
+    p = sub.add_parser("ball", parents=[digits, series],
                        help="diffusion ball around x of radius r")
     p.add_argument("x")
     p.add_argument("r", type=float)

@@ -188,6 +188,17 @@ def smallest_common_interval(
     return DyadicInterval(e - shift, a >> shift)
 
 
+def log2_distance(x: DyadicPoint, y: DyadicPoint) -> Optional[int]:
+    """log2 delta(x, y) as an integer, None when x == y: the bit length of
+    the XOR of the scaled mantissas, with no interval or Fraction built."""
+    e = max(x.exponent, y.exponent)
+    shift = ((x.mantissa << (e - x.exponent)) ^ (y.mantissa << (e - y.exponent))).bit_length()
+    if shift == 0:
+        return None
+    _check_level(e - shift)
+    return shift - e
+
+
 def dyadic_distance(x: DyadicPoint, y: DyadicPoint) -> Fraction:
     """delta(x, y): length of the smallest common dyadic interval, 0 for x == y.
 

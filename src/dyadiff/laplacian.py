@@ -83,11 +83,13 @@ def haar_function(I: DyadicInterval) -> PiecewiseDyadicFunction:
 def _rings(
     f: PiecewiseDyadicFunction, x: DyadicPoint
 ) -> tuple[float, int | None, dict[int, float]]:
-    """f(x), the level of the piece containing x (None if none) and the ring
-    masses W_m = int f over J(m) \\ J(m+1), in one pass over the pieces.
+    """f(x), the level of the piece containing x (None if none) and the
+    scaled ring masses 2^m W_m, W_m = int f over J(m) \\ J(m+1), in one pass
+    over the pieces.
 
     A level-p piece of index k that misses x lies in ring p - bitlength(k ^ k_x),
     k_x the level-p index of x: the level where the two first share an interval.
+    Its share of 2^m W_m, v 2^(m-p), cannot overflow: m < p.
     """
     fx, own, parts = 0.0, None, {}
     for piece, value in f.pieces:
@@ -96,7 +98,7 @@ def _rings(
             fx, own = value, piece.level
         else:
             m = piece.level - (k_x ^ piece.index).bit_length()
-            parts.setdefault(m, []).append(math.ldexp(value, -piece.level))
+            parts.setdefault(m, []).append(math.ldexp(value, m - piece.level))
     return fx, own, {m: math.fsum(v) for m, v in parts.items()}
 
 
@@ -111,9 +113,11 @@ def apply_laplacian(f: PiecewiseDyadicFunction, x: DyadicPoint, s: float) -> flo
     if not (0.0 < s < 1.0):
         raise ValueError("fractional order s must lie in (0, 1)")
     fx, own, rings = _rings(f, x)
-    terms = [2.0 ** (m * (1.0 + s)) * w for m, w in rings.items()]
+    # 2^(m(1+s)) W_m = 2^(ms) (2^m W_m): no factor leaves the double range
+    # unless the term itself does
+    terms = [_pow2(m * s) * w for m, w in rings.items()]
     if own is not None:
-        terms.append(-fx * 0.5 * 2.0 ** ((own - 1) * s) / (1.0 - 2.0 ** (-s)))
+        terms.append(-fx * 0.5 * _pow2((own - 1) * s) / (1.0 - _pow2(-s)))
     return math.fsum(terms)
 
 
@@ -248,8 +252,9 @@ def evolve_pointwise(
     runs over the chain J(j) of intervals containing x.  The term at level j
     is exp(-t 2^(j s)) 2^j (F_{j+1} - W_j), with F_{j+1} = int f over J(j+1)
     and W_j the mass of the ring J(j) \\ J(j+1); it vanishes inside the piece
-    containing x.  At coarse levels each term is bounded by 2^j * int|f|,
-    giving a certified geometric left tail.
+    containing x.  2^j F_{j+1} is carried down the chain by halving.  At
+    coarse levels each term is bounded by 2^j * int|f|, giving a certified
+    geometric left tail.
     """
     s, t = params.s, params.t
     mass = f.total_abs_integral()
@@ -259,15 +264,13 @@ def evolve_pointwise(
     # is below tail_tol
     j_low = min(0, math.floor(math.log2(trunc.tail_tol / mass)))
     fx, own, rings = _rings(f, x)
-    if own is None:
-        inner, top = 0.0, max(rings)
-    else:
-        inner, top = math.ldexp(fx, -own), own - 1
+    # inner = 2^j F_{j+1}; rings hold 2^j W_j
+    inner, top = (0.0, max(rings)) if own is None else (0.5 * fx, own - 1)
     terms = []
     for j in range(top, j_low - 1, -1):
         w = rings.get(j, 0.0)
-        terms.append(math.exp(-t * _pow2(j * s)) * math.ldexp(inner - w, j))
-        inner += w
+        terms.append(math.exp(-t * _pow2(j * s)) * (inner - w))
+        inner = 0.5 * (inner + w)
     return math.fsum(terms)
 
 

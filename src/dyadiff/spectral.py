@@ -12,22 +12,28 @@ Both are implemented independently; their agreement is the headline check.
 Every series is a sum of 2^j exp(-a 2^(s j)) over a range of levels j, taken
 by `_right_sum` (ratio certificate) or `_left_sum` (geometric certificate)
 until the discarded tail is certified, instead of a fixed term count.
+delta is a power of 2, so the closed route, psi_infinity and balls read one
+cached monotone table of log psi_t(2^i)^2 per (s, t), `_psi_table`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .dyadic import (
+    MAX_LEVEL,
     DyadicPoint,
     DyadicInterval,
-    dyadic_distance,
     haar_eval,
     interval_containing,
+    log2_distance,
     smallest_common_interval,
 )
 from .exceptions import CapExceeded
@@ -164,48 +170,78 @@ def log_psi_sq(
 
 
 def psi(
-    params: DiffusionParams,
-    lam: Union[float, Fraction],
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
+    params: DiffusionParams, lam: Union[float, Fraction], trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> float:
-    """psi_t(lam) = sqrt((2/lam) * eta_t(lam^-s)), with psi_t(0) = 0.
-
-    Evaluated as exp(log_psi_sq / 2), which keeps values representable all
-    the way down to the denormal floor instead of underflowing at the square.
-    """
-    return 0.0 if lam == 0 else math.exp(0.5 * log_psi_sq(params, lam, trunc))
+    """psi_t(lam) = sqrt((2/lam) * eta_t(lam^-s)), with psi_t(0) = 0, as
+    exp(log psi^2 / 2), representable down to the denormal floor; a power of
+    2 reads the table, as `distance_closed` does."""
+    if lam == 0:
+        return 0.0
+    n, d = lam.as_integer_ratio()
+    if n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0:
+        return math.exp(0.5 * _log_psi_sq_at(params, n.bit_length() - d.bit_length(), trunc))
+    return math.exp(0.5 * log_psi_sq(params, lam, trunc))
 
 
 def log_psi_sq_increment(params: DiffusionParams, i: int) -> float:
     """log of psi_t(2^(i+1))^2 - psi_t(2^i)^2, in closed form.
 
-    Telescoping the series gives the exact increment
-    2^(1-i) * (exp(-2t 2^(-(i+1)s)) - exp(-2t 2^(-is))), always positive;
-    the log-scale evaluation stays finite where the raw increment under- or
-    overflows double precision, so strict monotonicity of psi on powers of 2
-    can be asserted over any level range.  Raises ValueError if the computed
-    increment is not positive.
+    Telescoping the series gives the exact increment 2^(1-i) e^(-a 2^-s)
+    (1 - e^(-x)), a = 2t 2^(-is), x = a (1 - 2^-s), always positive.  log x
+    is formed without a and stands in for log(1 - e^(-x)) where x underflows,
+    so the result is finite wherever a 2^-s is, and -inf past that.
     """
     s = params.s
-    a = 2.0 * params.t * _pow2(-i * s)
-    # increment = 2^(1-i) e^(-a 2^-s) (1 - e^(-a (1 - 2^-s)))
-    inner = -math.expm1(-a * (1.0 - _pow2(-s)))
-    if not (inner > 0.0):
-        raise ValueError(f"psi increment not positive at i={i}")
-    return (1 - i) * _LN2 - a * _pow2(-s) + math.log(inner)
+    log_x = math.log(2.0 * params.t) - i * s * _LN2 + math.log(-math.expm1(-s * _LN2))
+    inner = log_x if log_x < -460.0 else math.log(-math.expm1(-math.exp(min(log_x, _LOG_MAX))))
+    return (1 - i) * _LN2 - _pow2(math.log2(2.0 * params.t) - (i + 1) * s) + inner
 
 
-def _bilateral_sum(s: float, a: float, trunc: TruncationPolicy) -> float:
-    """sum_{k in Z} 2^k exp(-a 2^(k s)), both tails certified."""
-    return _left_sum(a, s, 0, trunc) + _right_sum(a, s, 1, trunc)[0]
+@lru_cache(maxsize=32)
+def _psi_table(params: DiffusionParams, trunc: TruncationPolicy) -> tuple[int, memoryview]:
+    """(lo, L): L[k] = log psi_t(2^(lo+k))^2, non-decreasing; the last entry
+    stands for every level from its own up to +inf.
+
+    lo is the lowest level in [-MAX_LEVEL, MAX_LEVEL] with a_lo (1 - 2^-s) <= 40,
+    a_i = 2t 2^(-is): from there up consecutive increments are within about
+    e^40 of each other, below it the series needs one or two terms.  L[0] is
+    one certified `log_psi_sq`; each later entry log-adds the closed-form
+    increment, so the table is monotone by construction.  Increment i is at
+    most b_i = 2^(1-i) a_i (1 - 2^-s), geometric of ratio 2^-(1+s) (the
+    increments' limit ratio), so the sweep stops once the sum of b_j over
+    j >= i is below tail_tol, and below one rounding unit, times psi^2."""
+    s, t = params.s, params.t
+    log_gap = math.log(-math.expm1(-s * _LN2))  # log(1 - 2^-s)
+    lo = min(max(math.ceil((math.log(t / 20.0) + log_gap) / (s * _LN2)), -MAX_LEVEL), MAX_LEVEL)
+    L = log_psi_sq(params, 1 << lo if lo >= 0 else Fraction(1, 1 << -lo), trunc)
+    logs = [L]
+    # the log of the sum of b_j over j >= i is tail0 - i (1 + s) ln 2
+    tail0 = math.log(4.0 * t) + log_gap - math.log(-math.expm1(-(1.0 + s) * _LN2))
+    log_tol = math.log(min(trunc.tail_tol, sys.float_info.epsilon))
+    for i in range(lo, lo + trunc.max_terms):
+        if tail0 - i * (1.0 + s) * _LN2 <= log_tol + L:
+            if 0.5 * L > _LOG_MAX:
+                raise CapExceeded(f"psi_inf = exp({0.5 * L}) is past the double range (s={s}, t={t})")
+            # packed doubles: 8 bytes an entry, without importing `array`
+            return lo, memoryview(struct.pack(f"{len(logs)}d", *logs)).cast("d")
+        inc = log_psi_sq_increment(params, i)
+        L = L + math.log1p(math.exp(inc - L)) if inc <= L else inc + math.log1p(math.exp(L - inc))
+        logs.append(L)
+    raise CapExceeded(f"psi table not certified within {trunc.max_terms} levels from {lo}")
 
 
-def psi_infinity(
-    params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC
-) -> float:
+def _log_psi_sq_at(params: DiffusionParams, i: int, trunc: TruncationPolicy) -> float:
+    """log psi_t(2^i)^2: from the table, or the series below its lowest level."""
+    lo, logs = _psi_table(params, trunc)
+    if i >= lo:
+        return logs[min(i - lo, len(logs) - 1)]
+    return log_psi_sq(params, Fraction(1, 1 << -i) if i < 0 else 1 << i, trunc)
+
+
+def psi_infinity(params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC) -> float:
     """The finite limit of psi_t along growing powers of 2:
-    sqrt(2 * sum_{k in Z} 2^k exp(-2 t 2^(k s)))."""
-    return math.sqrt(2.0 * _bilateral_sum(params.s, 2.0 * params.t, trunc))
+    sqrt(2 * sum_{k in Z} 2^k exp(-2 t 2^(k s))), the top of the table."""
+    return math.exp(0.5 * _psi_table(params, trunc)[1][-1])
 
 
 def c_t_s(params: DiffusionParams) -> float:
@@ -249,19 +285,17 @@ def kernel_K(
     common = smallest_common_interval(x, y)
     if common is None:
         # Diagonal: sum_j 2^j exp(-t 2^(j s)) over all levels j.
-        return _bilateral_sum(s, t, trunc)
+        return _left_sum(t, s, 0, trunc) + _right_sum(t, s, 1, trunc)[0]
     top = common.level
     return _left_sum(t, s, top - 1, trunc) - math.exp(top * _LN2 - t * _pow2(s * top))
 
 
 def distance_closed(
-    x: DyadicPoint,
-    y: DyadicPoint,
-    params: DiffusionParams,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
+    x: DyadicPoint, y: DyadicPoint, params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> float:
-    """d_t(x, y) = psi_t(delta(x, y)): the closed-form route."""
-    return psi(params, dyadic_distance(x, y), trunc)
+    """d_t(x, y) = psi_t(delta(x, y)): the closed-form route, at the integer log2 delta."""
+    i = log2_distance(x, y)
+    return 0.0 if i is None else math.exp(0.5 * _log_psi_sq_at(params, i, trunc))
 
 
 def distance_spectral(
@@ -324,70 +358,49 @@ class Ball:
 
 
 def ball(
-    x: DyadicPoint,
-    r: float,
-    params: DiffusionParams,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
+    x: DyadicPoint, r: float, params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> Ball:
-    """The ball {y : d_t(x, y) < r}: the largest dyadic interval containing x
-    with psi_t(|I|) < r, or the whole space when r >= psi_t(+inf)."""
+    """The ball {y : d_t(x, y) < r}: the dyadic interval containing x of the
+    largest length 2^i with psi_t(2^i) < r, or the whole space when
+    r >= psi_t(+inf).  i is a bisect on the table, or on the series below it
+    when r <= psi_t at the table's lowest level; both compare r against the
+    very floats `distance_closed` returns, so membership agrees with it.  A
+    ball finer than level MAX_LEVEL raises LevelRangeError."""
     if not (r > 0):
         raise ValueError("radius must be positive")
-    if r >= psi_infinity(params, trunc):
+    lo, logs = _psi_table(params, trunc)
+    if r >= math.exp(0.5 * logs[-1]):
         return Ball.whole_space()
-    # compare in log scale so denormal radii (deep balls at large t) still
-    # resolve against psi values that underflow the direct route
-    log_r_sq = 2.0 * math.log(r)
-    current = interval_containing(x, 0)
-    depth = 0
-    while log_psi_sq(params, current.length, trunc) >= log_r_sq:
-        current = current.child_containing(x)
-        depth += 1
-        if depth > trunc.max_depth:
-            raise CapExceeded("downward ball search exceeded max_depth")
-    # the walk up ends at the latest at the level bound, where parent() raises
-    while True:
-        parent = current.parent()
-        if log_psi_sq(params, parent.length, trunc) >= log_r_sq:
-            return Ball(current)
-        current = parent
+
+    def reaches_r(i: int) -> bool:
+        return math.exp(0.5 * _log_psi_sq_at(params, i, trunc)) >= r
+
+    start, stop = (-MAX_LEVEL, lo) if reaches_r(lo) else (lo, lo + len(logs))
+    # psi is non-decreasing in i: bisect for the first level with psi >= r
+    i = start - 1 + bisect_left(range(start, stop), True, key=reaches_r)
+    return Ball(interval_containing(x, -i))
 
 
 def ball_radius_transfer(
-    x: DyadicPoint,
-    r1: float,
-    t1: float,
-    t2: float,
-    s: float,
+    x: DyadicPoint, r1: float, t1: float, t2: float, s: float,
     trunc: TruncationPolicy = DEFAULT_TRUNC,
 ) -> float:
     """A radius r2 with B_{t2}(x, r2) = B_{t1}(x, r1) as sets.
 
     Any value in (psi_{t2}(|I|), psi_{t2}(2|I|)] works, where I is the
-    t1-ball.  The geometric midpoint of that window is returned; when it
-    falls below the denormal floor the choice is moved toward the top of the
-    window.  The radius is checked by `ball` itself, and a ValueError
-    reports a window that holds no double radius for the same ball.
+    t1-ball.  The geometric midpoint of that window is returned, or its top
+    where the midpoint underflows.  The radius is checked by `ball` itself,
+    and a ValueError reports a window that holds no double radius.
     """
-    p1 = DiffusionParams(s, t1)
-    p2 = DiffusionParams(s, t2)
+    p1, p2 = DiffusionParams(s, t1), DiffusionParams(s, t2)
     interval = ball(x, r1, p1, trunc).interval
     if interval is None:
         raise ValueError("r1 must be below psi_t1(+inf) for an interval ball")
-    log_lo_sq = log_psi_sq(p2, interval.length, trunc)
-    log_hi_sq = log_psi_sq(p2, 2 * interval.length, trunc)
-    # radius window in log scale: (log_lo_sq / 2, log_hi_sq / 2]
-    log_r = 0.25 * (log_lo_sq + log_hi_sq)
-    for _ in range(64):
-        if math.exp(log_r) > 0.0:
-            break
-        log_r = 0.5 * (log_r + 0.5 * log_hi_sq)
-    r2 = math.exp(log_r)
-    # keep r2 only if `ball` maps it back to I: the window may hold no double,
-    # and where psi_t2 is flat to an ulp its computed values are not monotone
+    log_lo_sq = _log_psi_sq_at(p2, -interval.level, trunc)
+    log_hi_sq = _log_psi_sq_at(p2, 1 - interval.level, trunc)
+    r2 = math.exp(0.25 * (log_lo_sq + log_hi_sq)) or math.exp(0.5 * log_hi_sq)
+    # keep r2 only if `ball` maps it back to I: the window may hold no double
     if not (r2 > 0.0 and ball(x, r2, p2, trunc).interval == interval):
-        raise ValueError(
-            f"no double radius gives the ball {interval} at t2={t2}: window of "
-            f"log radii ({0.5 * log_lo_sq!r}, {0.5 * log_hi_sq!r}]"
-        )
+        raise ValueError(f"no double radius gives the ball {interval} at t2={t2}: window "
+                         f"of log radii ({0.5 * log_lo_sq!r}, {0.5 * log_hi_sq!r}]")
     return r2

@@ -163,20 +163,26 @@ def spectral_suite(seed: int = 0, pairs: int = 60) -> list[CheckResult]:
                 ok = False
     out.append(_result("spectral", "metric axioms (ultrametric form)", ok, ""))
 
-    ok = True
+    # the table that distances and balls read, against the series at each level
+    monotone, worst = True, 0.0
     for s in _S_GRID:
         for t in _T_GRID:
             p = DiffusionParams(s, t)
-            try:
-                increments = [
-                    spectral.log_psi_sq_increment(p, i) for i in range(-40, 40)
-                ]
-            except ValueError:
-                ok = False
-                continue
-            if not all(math.isfinite(v) for v in increments):
-                ok = False
-    out.append(_result("spectral", "psi strictly increasing on powers of 2", ok, ""))
+            logs = spectral._psi_table(p, trunc)[1]
+            monotone = monotone and all(a <= b for a, b in zip(logs, logs[1:]))
+            for i in range(-40, 41):
+                series = spectral.log_psi_sq(p, Fraction(2) ** i, trunc)
+                gap = abs(spectral._log_psi_sq_at(p, i, trunc) - series)
+                worst = max(worst, gap / max(1.0, abs(series)) if gap else 0.0)
+    out.append(
+        _result(
+            "spectral",
+            "psi table against the eta series",
+            monotone and worst <= 1e-12,
+            f"non-decreasing = {monotone}, "
+            f"max |table - log_psi_sq| / max(1, |log psi^2|) = {worst:.3e} (bound 1e-12)",
+        )
+    )
 
     tail = spectral.psi(DiffusionParams(1.0, 1.0), Fraction(1, 2**60), trunc)
     out.append(

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import dyadiff
@@ -138,8 +139,22 @@ class TestDistance:
         limit = psi_infinity(DiffusionParams(float(s), 1.0))
         assert float(doc["closed"]) == pytest.approx(limit, rel=1e-9)
 
-    def test_series_past_double_range_exits_4(self, capsys):
-        code, _ = run("distance", "0.25", "0.75", "--s", "0.01", "--t", "0.001")
+    def test_series_past_double_range_reads_the_table(self):
+        # the series at delta = 1 leaves the double range before its
+        # certificate holds; the table, seeded at level -1024, gives the value:
+        # log psi^2 = 986.26, checked against the raw sum at 50 digits
+        doc = run_json("distance", "0.25", "0.75", "--s", "0.01", "--t", "0.001")
+        with mp.workdps(50):
+            expected = float(mp.log(2 * mp.fsum(
+                mp.mpf(2) ** k * mp.e ** (-2 * mp.mpf("0.001") * mp.mpf(2) ** (mp.mpf("0.01") * k))
+                for k in range(-200, 4001)
+            )))
+        assert expected == pytest.approx(986.26, abs=0.005)
+        assert 2.0 * math.log(float(doc["closed"])) == pytest.approx(expected, rel=1e-12)
+
+    def test_limit_past_double_range_exits_4(self, capsys):
+        # at s = 0.001, log psi_inf^2 is about 5220: psi itself is past the doubles
+        code, _ = run("distance", "0.25", "0.75", "--s", "0.001", "--t", "1")
         assert code == EXIT_CAP
         err = capsys.readouterr().err
         assert err.startswith("cap exceeded: ")
@@ -339,6 +354,7 @@ class TestFlags:
             ("profile", "--s", "1", "--t", "1", "--digits", "10"),
             ("profile", "--s", "1", "--t", "1", "--max-depth", "3"),
             ("evolve", "in.txt", "--s", "1", "--t", "1", "--max-depth", "3"),
+            ("ball", "0.5", "0.25", "--s", "1", "--t", "1", "--max-depth", "3"),
         ],
     )
     def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):

@@ -11,6 +11,7 @@ from dyadiff.dyadic import (
     dyadic_distance,
     haar_eval,
     interval_containing,
+    log2_distance,
     smallest_common_interval,
 )
 from dyadiff.exceptions import LevelRangeError
@@ -112,6 +113,21 @@ class TestSmallestCommonInterval:
         # neither child holds both, so the interval is minimal
         for child in (common.left_child(), common.right_child()):
             assert not (child.contains(x) and child.contains(y))
+
+
+class TestLog2Distance:
+    @given(points, points)
+    def test_matches_dyadic_distance(self, x, y):
+        i = log2_distance(x, y)
+        if i is None:
+            assert x == y
+        else:
+            assert Fraction(2) ** i == dyadic_distance(x, y)
+
+    def test_level_bound(self):
+        with pytest.raises(LevelRangeError):
+            log2_distance(DyadicPoint(0), DyadicPoint(1, 1026))
+        assert log2_distance(DyadicPoint(0), DyadicPoint(1, 1025)) == -1024
 
 
 class TestDyadicDistance:

@@ -178,6 +178,23 @@ class TestApplyLaplacian:
                     brute_laplacian(raw, x, s), rel=1e-11, abs=1e-12
                 )
 
+    @pytest.mark.parametrize(
+        "pairs, x, s",
+        [
+            ([(DyadicInterval(800, 1), 1.0)], Fraction(0), 0.5),
+            ([(DyadicInterval(1024, 5), -2.5), (DyadicInterval(1000, 3), 0.75)], Fraction(0), 0.9),
+            ([(DyadicInterval(900, 0), 1.5), (DyadicInterval(901, 3), -1.0)], Fraction(1, 2**902), 0.3),
+        ],
+    )
+    def test_fine_level_pieces_against_brute_force(self, pairs, x, s):
+        # 2^(m(1+s)) alone is past the double range here, the ring term is not;
+        # the oracle sums in mpmath, whose exponents do not overflow
+        raw = [(i.lower, i.upper, v) for i, v in pairs]
+        expected = brute_laplacian(raw, x, s, depth=1025)
+        got = apply_laplacian(PiecewiseDyadicFunction.from_pairs(pairs), pt(x), s)
+        assert math.isfinite(got)
+        assert got == pytest.approx(expected, rel=1e-11)
+
     def test_haar_is_eigenfunction_example(self):
         # spec'd case: f = h_[0,1), x = 0.25, s = 0.5
         f = haar_function(DyadicInterval(0, 0))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadiff.dyadic import DyadicPoint, dyadic_distance
+from dyadiff import spectral
+from dyadiff.dyadic import DyadicPoint, dyadic_distance, interval_containing
 from dyadiff.exceptions import CapExceeded
 from dyadiff.spectral import (
     Ball,
@@ -70,6 +71,17 @@ def kernel_oracle(x: Fraction, y: Fraction, s, t, level_range=40):
             hy = mag if y < mid else -mag
             total += mp.e ** (-t * mp.mpf(2) ** (j * s)) * hx * hy
         return float(total)
+
+
+def log_limit_sq_oracle(s, t, lo, hi):
+    """log psi_t(+inf)^2 = log(2 sum_k 2^k exp(-2t 2^(k s))) over levels [lo, hi]
+    at 50 digits."""
+    with mp.workdps(50):
+        total = mp.fsum(
+            mp.mpf(2) ** k * mp.e ** (-2 * mp.mpf(t) * mp.mpf(2) ** (mp.mpf(s) * k))
+            for k in range(lo, hi + 1)
+        )
+        return float(mp.log(2 * total))
 
 
 def eta_via_psi(p, sigma, trunc=DEFAULT_TRUNC):
@@ -147,11 +159,26 @@ class TestPsi:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_increment_log_form_finite_everywhere(self):
-        for s in (0.25, 0.5, 1.0, 2.0):
-            for t in (0.1, 1.0, 10.0):
+        # the log of the increment is about -2t 2^(-(i+1)s); where that is past
+        # the double range (s >= 1 at the bottom of the level range) the
+        # increment is an exact floating-point 0 and its log is -inf
+        for s in (0.25, 0.5, 1.0, 2.0, 8.0):
+            for t in (1e-3, 1.0, 1e3):
                 p = DiffusionParams(s, t)
-                for i in range(-60, 61):
-                    assert math.isfinite(log_psi_sq_increment(p, i))
+                for i in range(-1024, 1025):
+                    v = log_psi_sq_increment(p, i)
+                    past = math.log2(2.0 * t) - (i + 1) * s >= 1023
+                    assert math.isfinite(v) or (past and v == -math.inf)
+
+    @pytest.mark.parametrize("s, t, i", [(2.0, 1e3, 538), (2.0, 1e3, 1024), (0.25, 1e-3, 1024)])
+    def test_increment_where_a_underflows_against_oracle(self, s, t, i):
+        # a = 2t 2^(-is) underflows to 0 here, yet the increment is finite
+        with mp.workdps(50):
+            a = 2 * mp.mpf(t) * mp.mpf(2) ** (-i * mp.mpf(s))
+            b = a * mp.mpf(2) ** -s
+            expected = float((1 - i) * mp.log(2) - b + mp.log(-mp.expm1(b - a)))
+        got = log_psi_sq_increment(DiffusionParams(s, t), i)
+        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_increment_matches_direct_difference(self):
         p = DiffusionParams(1.0, 1.0)
@@ -190,8 +217,11 @@ class TestDoubleRange:
         p = DiffusionParams(0.01, 1e-3)
         with pytest.raises(CapExceeded, match="double range at level"):
             log_psi_sq(p, 0.5)
-        with pytest.raises(CapExceeded, match="double range at level"):
-            psi_infinity(p)
+        # the table seeds at level -1024, where the series stays in range, and
+        # its top is log psi_inf^2 = 986.26: psi_inf = 1.457e214 is a double
+        expected = log_limit_sq_oracle(0.01, 1e-3, -200, 4000)
+        assert expected == pytest.approx(986.26, abs=0.005)
+        assert 2.0 * math.log(psi_infinity(p)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPsiInfinity:
@@ -478,6 +508,119 @@ class TestBallRadiusTransfer:
         p = DiffusionParams(1.0, 1.0)
         with pytest.raises(ValueError):
             ball_radius_transfer(pt("1/2"), 2 * psi_infinity(p), 1.0, 2.0, 1.0)
+
+
+def point_at(x: DyadicPoint, i: int) -> DyadicPoint:
+    """A point y with delta(x, y) = 2^i: the start of the half of the level
+    -i interval around x that does not hold x."""
+    I = interval_containing(x, -i)
+    half = I.left_child()
+    y = I.midpoint if half.contains(x) else I.lower
+    return DyadicPoint.from_fraction(y)
+
+
+class TestPsiTable:
+    """The one table of log psi_t(2^i)^2 per (s, t) behind the closed
+    distance, psi at powers of 2, psi_infinity and balls."""
+
+    @pytest.mark.parametrize("s", [0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 8.0])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_matches_series_where_it_certifies(self, s, t):
+        p = DiffusionParams(s, t)
+        logs = spectral._psi_table(p, DEFAULT_TRUNC)[1]
+        assert all(a <= b for a, b in zip(logs, logs[1:]))
+        for i in range(-60, 61):
+            try:
+                series = log_psi_sq(p, Fraction(2) ** i)
+            except CapExceeded:
+                continue
+            table = spectral._log_psi_sq_at(p, i, DEFAULT_TRUNC)
+            if series == -math.inf:
+                assert table == series
+            else:
+                assert abs(table - series) <= 1e-12 * max(1.0, abs(series))
+
+    def test_limit_at_large_time(self):
+        # an absolute left-sum certificate gave psi_inf = 9.7e-34 here, below
+        # psi(2^40), and so ball(0, 1e-20) was the whole space
+        p = DiffusionParams(0.1, 1000.0)
+        expected = math.exp(0.5 * log_limit_sq_oracle(0.1, 1000.0, -700, 300))
+        assert psi_infinity(p) == pytest.approx(expected, rel=1e-12)
+        assert psi(p, Fraction(2) ** 40) <= psi_infinity(p)
+        assert not ball(DyadicPoint(0), 1e-20, p).is_whole_space
+
+    def test_limit_past_double_range_raises_cap_exceeded(self):
+        # the seed series at level -1024 still certifies here, but psi_inf is
+        # exp(710.47), past the double range
+        p = DiffusionParams(0.011696454311242442, 1e-6)
+        assert math.isfinite(log_psi_sq(p, Fraction(1, 1 << 1024)))
+        with pytest.raises(CapExceeded, match="psi_inf"):
+            psi_infinity(p)
+        with pytest.raises(CapExceeded, match="psi_inf"):
+            distance_closed(DyadicPoint(0), DyadicPoint(1), p)
+
+    def test_ball_agrees_with_distance_where_psi_is_flat(self):
+        # psi_t is flat to an ulp over many levels here; walking the levels
+        # with one series each gave [0, 8) although y = 2^-6 is at distance >= r
+        p = DiffusionParams(0.1, 1e-3)
+        x, r = DyadicPoint(0), math.exp(39.15507682921938)
+        b = ball(x, r, p)
+        assert not b.is_whole_space
+        for k in range(60):
+            y = DyadicPoint(1, k)
+            assert b.contains(y) == (distance_closed(x, y, p) < r)
+
+    @given(
+        points,
+        st.floats(0.05, 8.0),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-9, 100.0),
+        st.booleans(),
+        st.integers(-40, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_membership_is_distance_below_radius(self, x, s, t, depth, exact, level):
+        p = DiffusionParams(s, t)
+        limit = psi_infinity(p)
+        # either a radius below psi_inf, or exactly a value of psi at a power of 2
+        r = psi(p, Fraction(2) ** level) if exact else limit * math.exp(-depth)
+        if not (0.0 < r < limit):
+            return
+        b = ball(x, r, p)
+        assert b.interval is not None
+        i = -b.interval.level
+        for j in range(i - 3, i + 4):
+            if -1023 <= j <= 1024:
+                y = point_at(x, j)
+                assert b.contains(y) == (distance_closed(x, y, p) < r)
+        assert b.contains(x)
+
+    def test_warm_table_runs_no_series(self, monkeypatch):
+        p, p2 = DiffusionParams(0.5, 1.0), DiffusionParams(0.5, 2.0)
+        lo = spectral._psi_table(p, DEFAULT_TRUNC)[0]
+        spectral._psi_table(p2, DEFAULT_TRUNC)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("_right_sum", "_left_sum", "log_psi_sq"):
+            monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
+        rng = random.Random(9)
+        x = DyadicPoint(rng.randrange(1 << 20), 10)
+        for _ in range(50):
+            y = DyadicPoint(rng.randrange(1 << 20), 10)  # delta >= 2^-10 > 2^lo
+            distance_closed(x, y, p)
+        for i in range(lo, lo + 80):
+            psi(p, Fraction(2) ** i)
+        limit = psi_infinity(p)
+        for frac in (0.2, 0.5, 0.95):
+            ball(x, frac * limit, p)
+            ball_radius_transfer(x, frac * limit, 1.0, 2.0, 0.5)
+        assert calls == []
 
 
 class TestParams:
