@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import laplacian, spectral, verify
 from .dyadic import DyadicPoint, dyadic_distance, smallest_common_interval
 from .exceptions import CapExceeded, ExpansionParseError, QuadratureError
-from .spectral import DEFAULT_TRUNC, DiffusionParams, TruncationPolicy
+from .spectral import DiffusionParams, TruncationPolicy
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,11 +55,6 @@ def parse_point(text: str, digits: int) -> tuple[DyadicPoint, Fraction]:
     rounded = Fraction(round(value * scale), scale)
     point = DyadicPoint.from_fraction(rounded)
     return point, rounded - value
-
-
-def _trunc_from_args(args) -> TruncationPolicy:
-    max_depth = getattr(args, "max_depth", DEFAULT_TRUNC.max_depth)
-    return TruncationPolicy(tail_tol=args.tail_tol, max_depth=max_depth)
 
 
 def _interval_record(interval) -> dict:
@@ -106,7 +101,7 @@ def cmd_distance(args, out) -> int:
     x, rx = parse_point(args.x, args.digits)
     y, ry = parse_point(args.y, args.digits)
     params = DiffusionParams(args.s, args.t)
-    trunc = _trunc_from_args(args)
+    trunc = TruncationPolicy(tail_tol=args.tail_tol)
     doc = {
         "command": "distance",
         "x": _point_record(args.x, x, rx),
@@ -130,7 +125,7 @@ def cmd_distance(args, out) -> int:
 def cmd_ball(args, out) -> int:
     x, rx = parse_point(args.x, args.digits)
     params = DiffusionParams(args.s, args.t)
-    trunc = _trunc_from_args(args)
+    trunc = TruncationPolicy(tail_tol=args.tail_tol)
     result = spectral.ball(x, args.r, params, trunc)
     doc = {
         "command": "ball",
@@ -151,7 +146,7 @@ def cmd_profile(args, out) -> int:
     if args.i_min > args.i_max:
         raise ValueError("i-min must not exceed i-max")
     params = DiffusionParams(args.s, args.t)
-    trunc = _trunc_from_args(args)
+    trunc = TruncationPolicy(tail_tol=args.tail_tol)
     lo, limit, hi = spectral.sandwich(params, trunc)
     out.write("# i lambda psi\n")
     for i in range(args.i_min, args.i_max + 1):
@@ -166,7 +161,7 @@ def cmd_profile(args, out) -> int:
 def cmd_evolve(args, out) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         expansion = laplacian.parse_expansion(fh.read())
-    trunc = _trunc_from_args(args)
+    trunc = TruncationPolicy(tail_tol=args.tail_tol)
     # t = 0 is the identity (multiplier e^0 = 1 on every level); the general
     # spectral machinery requires t > 0, so handle it directly.
     if args.t == 0:
@@ -227,11 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--t", type=float, required=True, help="diffusion time t > 0")
     series.add_argument("--tail-tol", type=float,
                         default=os.environ.get("DYADIFF_TAIL_TOL", "1e-12"),
-                        help="absolute tail tolerance for truncated series")
-    depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--max-depth", type=int,
-                       default=os.environ.get("DYADIFF_MAX_DEPTH", "200"),
-                       help="finest wavelet level enumerated in spectral sums")
+                        help="tail tolerance relative to the value of each series")
 
     p = sub.add_parser("delta", parents=[digits],
                        help="dyadic distance and minimal common interval")
@@ -239,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("distance", parents=[digits, series, depth],
+    p = sub.add_parser("distance", parents=[digits, series],
                        help="diffusion distance d_t(x, y)")
     p.add_argument("x")
     p.add_argument("y")

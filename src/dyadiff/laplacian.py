@@ -103,15 +103,15 @@ def _rings(
 
 
 def apply_laplacian(f: PiecewiseDyadicFunction, x: DyadicPoint, s: float) -> float:
-    """Evaluate the fractional Laplacian of order s in (0, 1) at x.
+    """Evaluate the fractional Laplacian of order s > 0 at x.
 
     Ring sum: D f(x) = sum_j 2^(j(1+s)) * int_{J(j) \\ J(j+1)} (f - f(x)).
     Rings inside the piece containing x (level `own`) give 0; every ring
     above it carries its mass W_j and -f(x) 2^(j s - 1), the latter summed
     over j < own as an exact geometric series.
     """
-    if not (0.0 < s < 1.0):
-        raise ValueError("fractional order s must lie in (0, 1)")
+    if not (s > 0.0):
+        raise ValueError("fractional order s must be positive")
     fx, own, rings = _rings(f, x)
     # 2^(m(1+s)) W_m = 2^(ms) (2^m W_m): no factor leaves the double range
     # unless the term itself does

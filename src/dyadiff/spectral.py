@@ -9,9 +9,8 @@ The diffusion distance of order s at time t admits two routes:
   eta_t(sigma) = 2 exp(-2 t sigma) + sum_{l>=1} 2^l exp(-2 t 2^(s l) sigma).
 
 Both are implemented independently; their agreement is the headline check.
-Every series is a sum of 2^j exp(-a 2^(s j)) over a range of levels j, taken
-by `_right_sum` (ratio certificate) or `_left_sum` (geometric certificate)
-until the discarded tail is certified, instead of a fixed term count.
+Every series is a sum of 2^j exp(-a 2^(s j)) over a range of levels, taken in
+log scale by `_log_series` until its tail is certified relative to the sum.
 delta is a power of 2, so the closed route, psi_infinity and balls read one
 cached monotone table of log psi_t(2^i)^2 per (s, t), `_psi_table`.
 """
@@ -22,7 +21,7 @@ import math
 import struct
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -58,20 +57,21 @@ class DiffusionParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute tail tolerance plus hard caps for all series and searches."""
+    """Tail tolerance relative to the value of each series, and a cap on its terms."""
 
     tail_tol: float = 1e-12
     max_terms: int = 100_000
-    max_depth: int = 200
 
     def __post_init__(self):
         if not (self.tail_tol > 0):
             raise ValueError("tail_tol must be positive")
-        if self.max_terms < 1 or self.max_depth < 1:
-            raise ValueError("caps must be >= 1")
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
 
 
 DEFAULT_TRUNC = TruncationPolicy()
+
+_CHAIN_LEVELS = 200  # most levels the spectral chain of `distance_spectral` enumerates
 
 
 def _pow2(x: float) -> float:
@@ -81,106 +81,107 @@ def _pow2(x: float) -> float:
         return math.inf
 
 
-def _right_sum(
-    a: float, s: float, start: int, trunc: TruncationPolicy,
-    shift: float = 0.0, base: Optional[float] = None,
+def _log_add(x: float, y: float) -> float:
+    """log(e^x + e^y), with -inf standing for 0."""
+    if x < y:
+        x, y = y, x
+    return x if y == -math.inf else x + math.log1p(math.exp(y - x))
+
+
+def _log_tail(a: float, s: float, ell: int) -> float:
+    """log of a bound on sum_{l > ell} 2^l exp(-a 2^(s l)), or +inf: the ratio of
+    successive terms, r = 2 exp(-a 2^(s l) (2^s - 1)), falls with l, so once it
+    is below 1 at ell the rest is at most the term at ell times r / (1 - r)."""
+    ap = a * _pow2(s * ell)
+    log_r = _LN2 - ap * math.expm1(s * _LN2)
+    return math.inf if log_r >= 0.0 else ell * _LN2 - ap + log_r - math.log(-math.expm1(log_r))
+
+
+@lru_cache(maxsize=1024)
+def _log_series(
+    a: float, s: float, lo: float, hi: float, trunc: TruncationPolicy
 ) -> tuple[float, int]:
-    """sum_{l >= start} 2^l exp(shift - a 2^(s l)) and the last level used.
+    """log sum_{l=lo..hi} 2^l exp(-a 2^(s l)) and the last level used on the
+    right; either end may be infinite.  Cached: K and the chain at one (s, t)
+    depend only on the level of delta.
 
-    Terms eventually decay super-exponentially; summation stops once the exact
-    successive-term ratio r = 2 exp(-a 2^(s l) (2^s - 1)) is <= 1/2 (it is
-    decreasing in l), at which point the discarded tail is bounded by
-    term * r / (1 - r) and required to be <= tail_tol, or <= tail_tol times
-    base + sum when a base is given.  A sum that leaves the double range
-    before the certificate holds raises CapExceeded.
-    """
-    growth, tol, total = _pow2(s) - 1.0, trunc.tail_tol, 0.0
-    for ell in range(start, start + trunc.max_terms):
-        ap = a * _pow2(s * ell)
-        try:
-            term = math.exp(ell * _LN2 + shift - ap)
-        except OverflowError:
-            term = math.inf
-        total += term
-        if total == math.inf:
-            raise CapExceeded(
-                f"series passed the double range at level {ell} "
-                f"before its tail certificate held (s={s}, a={a})"
-            )
-        ratio = 2.0 * math.exp(-ap * growth)
-        rel = 1.0 if base is None else base + total
-        if ratio <= 0.5 and term * ratio / (1.0 - ratio) <= tol * rel:
-            return total, ell
-    raise CapExceeded(
-        f"series not certified within {trunc.max_terms} terms "
-        f"(s={s}, a={a}, levels from {start})"
-    )
+    The log of a term is concave in l, so the sum starts at the larger of the
+    two terms around the peak -log2(a s)/s (clamped into [lo, hi]), e^m, and
+    walks outwards as e^m acc.  To the right it stops once `_log_tail` is
+    within tol times the sum.  To the left, levels lo..j sum to between
+    (2^(j+1) - 2^lo) e^(-a 2^(s j)) and 2^(j+1) - 2^lo, less than
+    2^((1+s) j + 1) a apart: it adds the levels above the first j where that
+    is within tol times the sum so far, then the lower end.  tol is
+    trunc.tail_tol; past trunc.max_terms terms it raises CapExceeded."""
+    def log_term(j: int) -> float:
+        return j * _LN2 - a * _pow2(s * j)
 
-
-def _left_sum(a: float, s: float, top: int, trunc: TruncationPolicy) -> float:
-    """sum_{j <= top} 2^j exp(-a 2^(s j)).
-
-    Every exponential factor is < 1, so once 2^j <= tail_tol the discarded
-    part is below the geometric sum of 2^i over i < j, hence below tail_tol.
-    """
-    last = min(top, math.floor(math.log2(trunc.tail_tol)))  # 2^last <= tail_tol
-    if top - last >= trunc.max_terms:
-        raise CapExceeded(f"left sum needs {top - last + 1} > {trunc.max_terms} terms")
-    total, w = 0.0, math.ldexp(1.0, top)
-    for _ in range(top - last + 1):
-        try:
-            total += math.exp(-a * w**s) * w
-        except OverflowError:
-            pass  # w^s is past the double range, so the term is 0
-        w *= 0.5
-    return total
+    peak = min(max(math.ceil(-(math.log2(a) + math.log2(s)) / s), lo), hi)
+    start = max(peak, peak - 1, key=lambda j: log_term(j) if j >= lo else -math.inf)
+    m = log_term(start)
+    if m == -math.inf:
+        return m, start
+    log_tol, acc = math.log(trunc.tail_tol) + m, 0.0  # log(tol e^m)
+    for j in range(start, min(hi, start + trunc.max_terms) + 1):
+        acc += math.exp(log_term(j) - m)
+        if _log_tail(a, s, j) <= log_tol + math.log(acc):
+            break
+    last, stop = j, math.floor(((log_tol + math.log(acc) - math.log(a)) / _LN2 - 1) / (1 + s))
+    j = min(max(stop, lo - 1), start - 1)
+    if last - j > trunc.max_terms:
+        raise CapExceeded(f"series not certified within {trunc.max_terms} terms "
+                          f"(s={s}, a={a}, levels {j}..{last})")
+    acc += math.fsum([math.exp(log_term(k) - m) for k in range(start - 1, j, -1)])
+    if j >= lo:
+        acc += math.exp(log_term(j) + _LN2 + math.log1p(-_pow2(lo - j - 1)) - m)
+    return m + math.log(acc), last
 
 
-def log_psi_sq(
-    params: DiffusionParams,
-    lam: Union[float, Fraction],
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
-) -> float:
-    """log(psi_t(lam)^2) for a finite lam > 0, stable against under- and overflow.
-
-    With lam = mu 2^i, a1 = 2 t mu^-s and a = 2 t lam^-s = a1 2^(-i s),
-    psi^2 = 2^(1+u-i) mu^-1 exp(-a) (2^(1-u) + T),
-    T = sum_{k>=1-i} 2^(k+i-u) exp(a - a1 2^(s k)),
-    summed in units 2^(u-1), u = max(i, 1), that keep T and a1 2^(s k)
-    inside the double range at both ends of the level range.  T is certified
-    relative to 2^(1-u) + T.  Returns -inf when a overflows (lam so small
-    that psi is an exact floating-point 0).
-    """
+def _binary(lam: Union[float, Fraction]) -> tuple[int, int, int]:
+    """(i, num, den) with lam = (num / den) 2^i and num / den in [1, 2)."""
     n, d = lam.as_integer_ratio()
     if n <= 0:
         raise ValueError("lam must be positive")
-    i = n.bit_length() - d.bit_length()  # lam = mu 2^i with mu in [1, 2]
+    i = n.bit_length() - d.bit_length()
     num, den = (n, d << i) if i >= 0 else (n << -i, d)
-    if num < den:
-        num, i = 2 * num, i - 1
+    return (i, num, den) if num >= den else (i - 1, 2 * num, den)
+
+
+def log_psi_sq(
+    params: DiffusionParams, lam: Union[float, Fraction], trunc: TruncationPolicy = DEFAULT_TRUNC
+) -> float:
+    """log(psi_t(lam)^2) for a finite lam > 0, by the series: with lam = mu 2^i,
+    a1 = 2 t mu^-s and a = a1 2^(-i s),
+    psi^2 = (2/mu) (2^(1-i) exp(-a) + sum_{k>=1-i} 2^k exp(-a1 2^(s k))).
+    Returns -inf when a overflows (log psi^2 itself past the double range).
+    """
+    i, num, den = _binary(lam)
     s, mu = params.s, num / den
     a1 = 2.0 * params.t * mu ** (-s)
-    a = a1 * _pow2(-i * s)
+    a = _pow2(math.log2(a1) - i * s)  # a1 2^(-i s), infinite only where a is
     if math.isinf(a):
         return -math.inf
-    u = i if i > 0 else 1
-    base = math.ldexp(1.0, 1 - u)
-    total, _ = _right_sum(a1, s, 1 - i, trunc, shift=a + (i - u) * _LN2, base=base)
-    return (1 + u - i) * _LN2 - math.log(mu) - a + math.log(base + total)
+    log_sum, _ = _log_series(a1, s, 1 - i, math.inf, trunc)
+    return _LN2 - math.log(mu) + _log_add((1 - i) * _LN2 - a, log_sum)
 
 
 def psi(
     params: DiffusionParams, lam: Union[float, Fraction], trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> float:
-    """psi_t(lam) = sqrt((2/lam) * eta_t(lam^-s)), with psi_t(0) = 0, as
-    exp(log psi^2 / 2), representable down to the denormal floor; a power of
-    2 reads the table, as `distance_closed` does."""
+    """psi_t(lam) = sqrt((2/lam) * eta_t(lam^-s)), with psi_t(0) = 0.  A power
+    of 2 reads the table, as `distance_closed` does; psi is non-decreasing, so
+    between 2^i and 2^(i+1) at or above the table's lowest level the series
+    is clamped between the two table entries, and psi stays monotone."""
     if lam == 0:
         return 0.0
-    n, d = lam.as_integer_ratio()
-    if n > 0 and n & (n - 1) == 0 and d & (d - 1) == 0:
-        return math.exp(0.5 * _log_psi_sq_at(params, n.bit_length() - d.bit_length(), trunc))
-    return math.exp(0.5 * log_psi_sq(params, lam, trunc))
+    i, num, den = _binary(lam)
+    if num == den:
+        return math.exp(0.5 * _log_psi_sq_at(params, i, trunc))
+    log_sq = log_psi_sq(params, lam, trunc)
+    if i >= _psi_table(params, trunc)[0]:
+        floor_sq, ceil_sq = _log_psi_sq_at(params, i, trunc), _log_psi_sq_at(params, i + 1, trunc)
+        log_sq = min(max(log_sq, floor_sq), ceil_sq)
+    return math.exp(0.5 * log_sq)
 
 
 def log_psi_sq_increment(params: DiffusionParams, i: int) -> float:
@@ -203,13 +204,12 @@ def _psi_table(params: DiffusionParams, trunc: TruncationPolicy) -> tuple[int, m
     stands for every level from its own up to +inf.
 
     lo is the lowest level in [-MAX_LEVEL, MAX_LEVEL] with a_lo (1 - 2^-s) <= 40,
-    a_i = 2t 2^(-is): from there up consecutive increments are within about
-    e^40 of each other, below it the series needs one or two terms.  L[0] is
-    one certified `log_psi_sq`; each later entry log-adds the closed-form
-    increment, so the table is monotone by construction.  Increment i is at
-    most b_i = 2^(1-i) a_i (1 - 2^-s), geometric of ratio 2^-(1+s) (the
-    increments' limit ratio), so the sweep stops once the sum of b_j over
-    j >= i is below tail_tol, and below one rounding unit, times psi^2."""
+    a_i = 2t 2^(-is), where consecutive increments come within about e^40 of
+    each other.  L[0] is one `log_psi_sq`; each later entry log-adds the
+    closed-form increment, so the table is monotone by construction.
+    Increment i is at most b_i = 2^(1-i) a_i (1 - 2^-s), geometric of ratio
+    2^-(1+s), so the sweep stops once the sum of b_j over j >= i is below
+    tail_tol, and below one rounding unit, times psi^2."""
     s, t = params.s, params.t
     log_gap = math.log(-math.expm1(-s * _LN2))  # log(1 - 2^-s)
     lo = min(max(math.ceil((math.log(t / 20.0) + log_gap) / (s * _LN2)), -MAX_LEVEL), MAX_LEVEL)
@@ -224,8 +224,7 @@ def _psi_table(params: DiffusionParams, trunc: TruncationPolicy) -> tuple[int, m
                 raise CapExceeded(f"psi_inf = exp({0.5 * L}) is past the double range (s={s}, t={t})")
             # packed doubles: 8 bytes an entry, without importing `array`
             return lo, memoryview(struct.pack(f"{len(logs)}d", *logs)).cast("d")
-        inc = log_psi_sq_increment(params, i)
-        L = L + math.log1p(math.exp(inc - L)) if inc <= L else inc + math.log1p(math.exp(L - inc))
+        L = _log_add(L, log_psi_sq_increment(params, i))
         logs.append(L)
     raise CapExceeded(f"psi table not certified within {trunc.max_terms} levels from {lo}")
 
@@ -267,27 +266,27 @@ def sandwich(
 
 
 def kernel_K(
-    x: DyadicPoint,
-    y: DyadicPoint,
-    params: DiffusionParams,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
+    x: DyadicPoint, y: DyadicPoint, params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> float:
     """The heat kernel sum_h exp(-t|I(h)|^-s) h(x) h(y).
 
     Only wavelets whose support contains both points contribute.  For x != y
     these are exactly the ancestors of the minimal common interval; the two
     points sit in opposite halves there (product -1/delta) and in the same
-    half above it (product +1/|I|), so the ancestor chain is the geometric
-    left sum below the common level.  For x == y the sum runs over the full
-    bilateral chain of intervals containing x.
+    half above it (product +1/|I|), so the ancestor chain is the series over
+    the levels below the common level, which is below 2/delta.  For x == y
+    the sum runs over every level; past the double range it raises CapExceeded.
     """
     s, t = params.s, params.t
     common = smallest_common_interval(x, y)
     if common is None:
-        # Diagonal: sum_j 2^j exp(-t 2^(j s)) over all levels j.
-        return _left_sum(t, s, 0, trunc) + _right_sum(t, s, 1, trunc)[0]
+        log_k, _ = _log_series(t, s, -math.inf, math.inf, trunc)
+        if log_k > _LOG_MAX:
+            raise CapExceeded(f"K(x, x) = exp({log_k}) is past the double range (s={s}, t={t})")
+        return math.exp(log_k)
     top = common.level
-    return _left_sum(t, s, top - 1, trunc) - math.exp(top * _LN2 - t * _pow2(s * top))
+    log_k, _ = _log_series(t, s, -math.inf, top - 1, trunc)
+    return math.exp(log_k) - math.exp(top * _LN2 - t * _pow2(s * top))
 
 
 def distance_closed(
@@ -299,44 +298,48 @@ def distance_closed(
 
 
 def distance_spectral(
-    x: DyadicPoint,
-    y: DyadicPoint,
-    params: DiffusionParams,
-    trunc: TruncationPolicy = DEFAULT_TRUNC,
+    x: DyadicPoint, y: DyadicPoint, params: DiffusionParams, trunc: TruncationPolicy = DEFAULT_TRUNC
 ) -> float:
     """d_t(x, y) by direct enumeration of the Parseval sum.
 
     Three groups contribute: the separating wavelet at the minimal common
-    interval, and the two one-sided chains of wavelets containing exactly one
-    of the points.  Wavelets strictly above the common interval see equal
-    values at x and y and are skipped.  Both chain terms at level j sum to
-    exactly 2 * 2^j exp(-2t 2^(s j)), so the deepest level is where the ratio
-    certificate of that series holds relative to the squared distance.
-
-    The sum is taken in units of exp(-2t |I|^-s) 2^max(j, 0) of the common
-    interval I at level j, about the size of the separating term, so it
-    stays representable wherever the distance is, however small that is.
+    interval (level `top`), and the two one-sided chains of wavelets
+    containing exactly one of the points; wavelets above the common interval
+    see equal values at x and y.  Both chain terms at level j sum to exactly
+    2^(j+1) exp(-2t 2^(s j)), so `_log_series` of that series gives d^2 and
+    the chain's last level.  The chain starts where the pairs below it, at
+    most 2^(j+1) a level, sum to no more than tol d^2, and enumerates at most
+    _CHAIN_LEVELS levels.  Terms are taken relative to d^2, so the sum stays
+    representable wherever the distance is.
     """
     s, a = params.s, 2.0 * params.t
     common = smallest_common_interval(x, y)
     if common is None:
         return 0.0
     top = common.level
-    shift = a * _pow2(s * top) - max(top, 0) * _LN2
-    if math.isinf(shift):
+    log_chain, last = _log_series(a, s, top + 1, math.inf, trunc)
+    log_d2 = _log_add((top + 2) * _LN2 - a * _pow2(s * top), _LN2 + log_chain)
+    if log_d2 == -math.inf:
         return 0.0
-    sep = haar_eval(common, x) - haar_eval(common, y)
-    terms = [_pow2(-max(top, 0)) * sep * sep]
-    depth = replace(trunc, max_terms=min(trunc.max_depth, trunc.max_terms))
-    _, last = _right_sum(a, s, top + 1, depth, shift=shift + _LN2, base=terms[0])
-    ix = iy = common
-    for j in range(top + 1, last + 1):
-        ix = ix.child_containing(x)
-        iy = iy.child_containing(y)
-        mult = math.exp(shift - a * _pow2(s * j))
-        hx, hy = haar_eval(ix, x), haar_eval(iy, y)
-        terms += (mult * hx * hx, mult * hy * hy)
-    return math.exp(0.5 * (math.log(math.fsum(terms)) - shift))
+    first = max(top + 1, math.floor((math.log(trunc.tail_tol) + log_d2) / _LN2) - 1)
+    cap = first + _CHAIN_LEVELS - 1
+    if last > cap:
+        rel = math.exp(min(_LN2 + _log_tail(a, s, cap) - log_d2, _LOG_MAX))
+        raise CapExceeded(f"spectral chain past its cap of {_CHAIN_LEVELS} levels: from level "
+                          f"{first} it needs levels up to {last}; the tail bound after level "
+                          f"{cap} is {rel:.3g} times d^2, against tol {trunc.tail_tol:g}")
+
+    def unit(j: int) -> float:  # sqrt(exp(-2t 2^(s j)) / d^2)
+        return math.exp(-0.5 * (a * _pow2(s * j) + log_d2))
+
+    w = unit(top)
+    terms = [(w * haar_eval(common, x) - w * haar_eval(common, y)) ** 2]
+    for j in range(first, last + 1):
+        w = unit(j)
+        hx = w * haar_eval(interval_containing(x, j), x)
+        hy = w * haar_eval(interval_containing(y, j), y)
+        terms += (hx * hx, hy * hy)
+    return math.exp(0.5 * (log_d2 + math.log(math.fsum(terms))))
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,20 @@ class TestDistance:
         assert expected == pytest.approx(986.26, abs=0.005)
         assert 2.0 * math.log(float(doc["closed"])) == pytest.approx(expected, rel=1e-12)
 
+    def test_spectral_chain_at_top_of_level_range(self):
+        # delta = 2^1024: the chain starts where the levels below it are
+        # certified negligible, not at the common level -1024
+        doc = run_json("distance", "0", "1.5e308", "--s", "1", "--t", "1", "--method", "both")
+        assert float(doc["spectral"]) == pytest.approx(float(doc["closed"]), rel=1e-12)
+
+    def test_spectral_chain_past_its_cap_exits_4(self, capsys):
+        # at s = 0.01 the chain needs about 270 levels, past its cap of 200
+        code, _ = run("distance", "0", "0.125", "--s", "0.01", "--t", "1", "--method", "both")
+        assert code == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: spectral chain past its cap of 200 levels: ")
+        assert "from level 385" in err and "against tol 1e-12" in err
+
     def test_limit_past_double_range_exits_4(self, capsys):
         # at s = 0.001, log psi_inf^2 is about 5220: psi itself is past the doubles
         code, _ = run("distance", "0.25", "0.75", "--s", "0.001", "--t", "1")
@@ -350,6 +364,7 @@ class TestFlags:
         "argv",
         [
             ("delta", "0.25", "0.75", "--max-depth", "3"),
+            ("distance", "0.25", "0.75", "--s", "1", "--t", "1", "--max-depth", "3"),
             ("delta", "0.25", "0.75", "--tail-tol", "1e-6"),
             ("profile", "--s", "1", "--t", "1", "--digits", "10"),
             ("profile", "--s", "1", "--t", "1", "--max-depth", "3"),

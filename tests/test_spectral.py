@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadiff import spectral
-from dyadiff.dyadic import DyadicPoint, dyadic_distance, interval_containing
+from dyadiff.dyadic import DyadicPoint, dyadic_distance, haar_eval, interval_containing
 from dyadiff.exceptions import CapExceeded
 from dyadiff.spectral import (
     Ball,
@@ -84,6 +85,32 @@ def log_limit_sq_oracle(s, t, lo, hi):
         return float(mp.log(2 * total))
 
 
+def log_band_oracle(c, s, shift=0, lo=-math.inf):
+    """log sum_{l >= lo} 2^l exp(-c 2^(s (l - shift))) at 50 digits, over the
+    band of levels whose terms are within e^-60 of the largest.  The log of
+    a term is concave in l, so the terms fall on both sides of the peak, at
+    least as fast as where they crossed e^-60: the rest is below 1e-24 of
+    the sum."""
+    with mp.workdps(50):
+        c, q, ln2 = mp.mpf(c), mp.mpf(2) ** s, mp.log(2)
+        peak = max(int(mp.floor(shift - mp.log(c * s, 2) / s)), lo)
+
+        def log_terms(ell, step):  # from ell outwards, by 2^(s (l - shift)) *= q^step
+            power = mp.mpf(2) ** (s * (ell - shift))
+            while ell >= lo:
+                yield ell * ln2 - c * power
+                ell, power = ell + step, power * q ** step
+
+        top = max(next(log_terms(peak, 1)), next(log_terms(peak + 1, 1)))
+        logs = []
+        for ell, step in ((peak, -1), (peak + 1, 1)):
+            for x in log_terms(ell, step):
+                if x < top - 60:
+                    break
+                logs.append(x)
+        return top + mp.log(mp.fsum(mp.exp(x - top) for x in logs))
+
+
 def eta_via_psi(p, sigma, trunc=DEFAULT_TRUNC):
     """eta_t(sigma) = (lam / 2) psi_t(lam)^2 at lam = sigma^(-1/s)."""
     lam = sigma ** (-1.0 / p.s)
@@ -139,7 +166,7 @@ class TestEta:
             psi(p, -1.0)
 
     def test_cap_exceeded_on_pathological_parameters(self):
-        tiny = TruncationPolicy(tail_tol=1e-12, max_terms=3, max_depth=5)
+        tiny = TruncationPolicy(tail_tol=1e-12, max_terms=3)
         with pytest.raises(CapExceeded):
             eta_via_psi(DiffusionParams(0.25, 1e-8), 1e-8, tiny)
 
@@ -211,17 +238,73 @@ class TestPsi:
 
 
 class TestDoubleRange:
-    def test_terms_past_double_range_raise_cap_exceeded(self):
+    def test_terms_past_double_range_stay_finite(self):
         # at s = 0.01, t = 1e-3 the terms 2^l exp(-a 2^(s l)) pass e^709
-        # before the ratio certificate holds
+        # before the ratio certificate holds; summed in log scale they stay
+        # finite, and at lam = 1/2 psi^2 is psi_inf^2 to far below 1e-12
         p = DiffusionParams(0.01, 1e-3)
-        with pytest.raises(CapExceeded, match="double range at level"):
-            log_psi_sq(p, 0.5)
-        # the table seeds at level -1024, where the series stays in range, and
-        # its top is log psi_inf^2 = 986.26: psi_inf = 1.457e214 is a double
         expected = log_limit_sq_oracle(0.01, 1e-3, -200, 4000)
         assert expected == pytest.approx(986.26, abs=0.005)
+        assert log_psi_sq(p, 0.5) == pytest.approx(expected, rel=1e-12)
         assert 2.0 * math.log(psi_infinity(p)) == pytest.approx(expected, rel=1e-12)
+
+
+class TestLogSeriesOracle:
+    """log psi_t(2^i)^2, the table top log psi_inf^2 and log K(x, x) against
+    the raw series at 50 digits across the domain: each value is within
+    1e-12 max(1, |value|), or a typed error where the value is no double."""
+
+    @given(
+        st.floats(math.log(1e-3), math.log(50.0)).map(math.exp),
+        st.floats(math.log(1e-6), math.log(1e6)).map(math.exp),
+        st.integers(-1024, 1024),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_against_band_sum(self, s, t, i):
+        p = DiffusionParams(s, t)
+
+        def close(got, expected):
+            return abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+        # eta_t(2^(-i s)) = 2 exp(-2t 2^(-i s)) + sum_{l >= 1} 2^l exp(-2t 2^(s (l - i)))
+        with mp.workdps(50):
+            a = 2 * mp.mpf(t) * mp.mpf(2) ** (-i * mp.mpf(s))
+            eta = mp.exp(log_band_oracle(2 * t, s, shift=i, lo=1)) + 2 * mp.exp(-a)
+            expected = float((1 - i) * mp.log(2) + mp.log(eta))
+        try:
+            got = log_psi_sq(p, Fraction(2) ** i)
+        except CapExceeded as exc:
+            assert "not certified within" in str(exc)
+        else:
+            assert close(got, expected) or (got == -math.inf and expected == -math.inf)
+
+        limit = float(mp.log(2) + log_band_oracle(2 * t, s))
+        try:
+            top = spectral._psi_table(p, DEFAULT_TRUNC)[1][-1]
+        except CapExceeded as exc:
+            assert "psi_inf" in str(exc) and 0.5 * limit > spectral._LOG_MAX * (1 - 1e-12)
+        else:
+            assert close(top, limit)
+
+        diagonal = float(log_band_oracle(t, s))
+        x = DyadicPoint(1, 3)
+        try:
+            k = kernel_K(x, x, p)
+        except CapExceeded as exc:
+            assert "K(x, x)" in str(exc) and diagonal > spectral._LOG_MAX * (1 - 1e-12)
+        else:
+            if diagonal < math.log(sys.float_info.min):
+                assert k <= sys.float_info.min
+            else:
+                assert close(math.log(k), diagonal)
+
+    @pytest.mark.parametrize("s, t, expected", [(0.1, 1000.0, 5.2352518e-24),
+                                                (0.05, 1e4, 3.5099357e-62)])
+    def test_diagonal_kernel_far_below_tolerance(self, s, t, expected):
+        # an absolute left-sum certificate gave 6.7e-40 and 0.0 here
+        got = kernel_K(pt("1/4"), pt("1/4"), DiffusionParams(s, t))
+        assert got == pytest.approx(float(mp.e ** log_band_oracle(t, s)), rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-7)
 
 
 class TestPsiInfinity:
@@ -352,6 +435,22 @@ class TestDistance:
                         )
                         checked += 1
         assert checked >= 9
+
+    @pytest.mark.parametrize("k", [0, 64, 512, 1023])
+    def test_chain_work_does_not_grow_with_level_spread(self, k, monkeypatch):
+        # delta(0, 2^k) = 2^(k+1): the common level is -k-1, yet the chain
+        # starts where the levels below it are certified negligible
+        calls = []
+
+        def counted(interval, x):
+            calls.append(interval.level)
+            return haar_eval(interval, x)
+
+        monkeypatch.setattr(spectral, "haar_eval", counted)
+        p, x, y = DiffusionParams(1.0, 1.0), DyadicPoint(0), DyadicPoint(1 << k)
+        d = distance_spectral(x, y, p)
+        assert len(calls) <= 2 * 64
+        assert d == pytest.approx(distance_closed(x, y, p), rel=1e-12)
 
     def test_single_separating_wavelet_lower_bound(self):
         for t in (0.1, 1.0, 10.0):
@@ -530,10 +629,7 @@ class TestPsiTable:
         logs = spectral._psi_table(p, DEFAULT_TRUNC)[1]
         assert all(a <= b for a, b in zip(logs, logs[1:]))
         for i in range(-60, 61):
-            try:
-                series = log_psi_sq(p, Fraction(2) ** i)
-            except CapExceeded:
-                continue
+            series = log_psi_sq(p, Fraction(2) ** i)
             table = spectral._log_psi_sq_at(p, i, DEFAULT_TRUNC)
             if series == -math.inf:
                 assert table == series
@@ -595,6 +691,22 @@ class TestPsiTable:
                 assert b.contains(y) == (distance_closed(x, y, p) < r)
         assert b.contains(x)
 
+    @given(
+        st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 8.0]),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.integers(-60, 60),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_psi_monotone_across_powers_of_two(self, s, t, i, u):
+        # the series between powers of 2 sat up to its truncation below the
+        # table: psi(1 + 2^-52) was below psi(1) at s = t = 1
+        p = DiffusionParams(s, t)
+        lam = math.ldexp(1.0 + u, i)
+        assert psi(p, Fraction(2) ** i) <= psi(p, lam) <= psi(p, Fraction(2) ** (i + 1))
+        one = DiffusionParams(1.0, 1.0)
+        assert psi(one, 1.0) <= psi(one, 1.0 + 2.0**-52)
+
     def test_warm_table_runs_no_series(self, monkeypatch):
         p, p2 = DiffusionParams(0.5, 1.0), DiffusionParams(0.5, 2.0)
         lo = spectral._psi_table(p, DEFAULT_TRUNC)[0]
@@ -607,7 +719,7 @@ class TestPsiTable:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("_right_sum", "_left_sum", "log_psi_sq"):
+        for name in ("_log_series", "log_psi_sq"):
             monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
         rng = random.Random(9)
         x = DyadicPoint(rng.randrange(1 << 20), 10)
