@@ -20,6 +20,7 @@ from .dyadic import (
     DyadicPoint,
     dyadic_distance,
     haar_eval,
+    log2_distance,
     smallest_common_interval,
 )
 from .spectral import DEFAULT_TRUNC, DiffusionParams
@@ -189,14 +190,10 @@ def spectral_suite(seed: int = 0, pairs: int = 60) -> list[CheckResult]:
         )
     )
 
-    from scipy.integrate import quad
-
     # c_t(s) by its second route: quadrature of integral_0^inf exp(-2 x^s) dx
     failures, worst = [], 0.0
     for s in _S_GRID:
-        # full_output keeps SciPy's warning off stderr: err is checked below
-        integral, err, *_ = quad(lambda x: math.exp(-2.0 * x**s), 0.0, math.inf,
-                                 epsabs=1e-13, limit=400, full_output=1)
+        integral, err = gaussian.quad(lambda x: math.exp(-2.0 * x**s), 0.0, math.inf, 1e-13)
         for t in _T_GRID:
             p = DiffusionParams(s, t)
             c_quad = t ** (-1.0 / (2.0 * s)) * math.sqrt(integral)
@@ -210,21 +207,30 @@ def spectral_suite(seed: int = 0, pairs: int = 60) -> list[CheckResult]:
         _result("spectral", "sqrt(2)c < psi_inf < 2c sandwich", not failures, "; ".join(detail))
     )
 
-    ok = True
+    # d_t2^2 / d_t1^2 <= exp(-2 (t2 - t1) delta^-s), compared in logs: both
+    # squares and the bound can underflow while d_t1 > 0
+    ok, worst = True, -math.inf
     for _ in range(pairs):
         x, y = random_point(rng), random_point(rng)
         s = rng.choice(_S_GRID)
         t1, t2 = sorted(rng.sample(_T_GRID, 2))
-        d1 = spectral.distance_closed(x, y, DiffusionParams(s, t1), trunc)
-        d2 = spectral.distance_closed(x, y, DiffusionParams(s, t2), trunc)
+        p1, p2 = DiffusionParams(s, t1), DiffusionParams(s, t2)
+        d1 = spectral.distance_closed(x, y, p1, trunc)
+        d2 = spectral.distance_closed(x, y, p2, trunc)
         if d2 > d1 * (1 + 1e-14):
             ok = False
-        if x != y and d1 > 0:
-            delta = float(dyadic_distance(x, y))
-            bound = math.exp(-2.0 * (t2 - t1) * delta ** (-s))
-            if (d2 * d2) / (d1 * d1) > bound * (1 + 1e-12):
+        i = log2_distance(x, y)
+        if i is not None:
+            log1 = spectral._log_psi_sq_at(p1, i, trunc)
+            log2 = spectral._log_psi_sq_at(p2, i, trunc)
+            log_bound = -2.0 * (t2 - t1) * 2.0 ** (-i * s)
+            margin = (log2 - log1) - log_bound
+            worst = max(worst, margin)
+            if margin > math.log1p(1e-12) + 4.0 * math.ulp(max(abs(log1), abs(log2), abs(log_bound))):
                 ok = False
-    out.append(_result("spectral", "time monotonicity and squared-ratio bound", ok, ""))
+    out.append(_result("spectral", "time monotonicity and squared-ratio bound", ok,
+                       f"max log(d_t2^2 / d_t1^2) - log bound = {worst:.3e} "
+                       "(bound log1p(1e-12) + 4 ulps)"))
 
     x = DyadicPoint(1, 5)
     y = DyadicPoint(3, 5)  # delta = 2^-4
@@ -477,15 +483,14 @@ def euclidean_suite(seed: int = 0) -> list[CheckResult]:
             )
         )
 
-    from scipy.integrate import quad
-
     p = gaussian.GaussianParams(1.0, 1)
-    norm, _ = quad(lambda z: gaussian.weierstrass(z, p), -math.inf, math.inf)
+    norm, _ = gaussian.quad(lambda z: gaussian.weierstrass(z, p), -math.inf, math.inf, 1e-13)
     conv_x = 0.7
-    conv, _ = quad(
+    conv, _ = gaussian.quad(
         lambda z: gaussian.weierstrass(conv_x - z, p) * gaussian.weierstrass(z, p),
         -math.inf,
         math.inf,
+        1e-13,
     )
     p2 = gaussian.GaussianParams(2.0, 1)
     semigroup_gap = abs(conv - gaussian.weierstrass(conv_x, p2))

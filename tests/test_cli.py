@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 
 import dyadiff
-from dyadiff import verify
+from dyadiff import gaussian, verify
 from dyadiff.cli import (
     DEFAULT_DIGITS,
     EXIT_CAP,
@@ -358,6 +358,18 @@ class TestVerify:
         assert err.startswith("quadrature not certified: ")
         assert err.count("\n") == 1
 
+    def test_real_quadrature_failure_exits_4(self, monkeypatch, capsys):
+        # a kernel with a jump: the double-exponential levels never agree
+        monkeypatch.setattr(gaussian, "_kernel_1d", lambda u, t: float(u < 2**-0.5))
+        code, _ = run("verify", "euclidean")
+        assert code == EXIT_CAP
+        assert capsys.readouterr().err.startswith("quadrature not certified: ")
+
+    @pytest.mark.parametrize("seed", [143, 309, 583, 942])
+    def test_squared_ratio_bound_survives_underflow(self, seed):
+        # at these seeds d_t1^2 underflows to 0 although d_t1 > 0
+        assert all(r.passed for r in verify.run_verify("all", seed))
+
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -398,6 +410,15 @@ class TestModuleEntry:
         proc = run_python(
             "-c",
             "import sys, dyadiff.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_verify_loads_neither_scipy_nor_numpy(self):
+        proc = run_python(
+            "-c",
+            "import sys; from dyadiff import verify; verify.run_verify('all', 0); "
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numpy'}))",
         )
         assert proc.returncode == EXIT_OK, proc.stderr

@@ -8,6 +8,7 @@ from dyadiff.exceptions import QuadratureError
 from dyadiff.gaussian import (
     GaussianParams,
     d_sq_quadrature,
+    quad as de_quad,
     ratio_limit_check,
     rho,
     rho_inverse,
@@ -104,6 +105,50 @@ class TestQuadratureVsClosedForm:
             rho_sq_closed(-1.0, p)
         with pytest.raises(ValueError):
             rho_sq_quadrature(-1.0, p)
+
+
+class TestDoubleExponentialQuad:
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_exp_sinh_matches_lgamma_closed_form(self, s):
+        # int_0^inf exp(-2 x^s) dx = Gamma(1 + 1/s) 2^(-1/s)
+        value, err = de_quad(lambda x: math.exp(-2.0 * x**s), 0.0, math.inf, 1e-13)
+        exact = math.exp(math.lgamma(1.0 + 1.0 / s) - math.log(2.0) / s)
+        assert err <= 1e-13 * max(1.0, exact)
+        assert abs(value - exact) <= 1e-14 * max(1.0, exact)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.1, 0.0), (1.0, 0.0), (0.7, -2.3)])
+    def test_tanh_sinh_gaussian_pair_integral(self, t, a, b):
+        # int W_t(a - u) W_t(b - u) du = exp(-(a - b)^2 / 8t) / sqrt(8 pi t)
+        p = GaussianParams(t, 1)
+        half = 12.0 * math.sqrt(2.0 * t)
+        value, err = de_quad(
+            lambda u: weierstrass(a - u, p) * weierstrass(b - u, p),
+            min(a, b) - half, max(a, b) + half, 2.5e-11,
+        )
+        exact = math.exp(-((a - b) ** 2) / (8.0 * t)) / math.sqrt(8.0 * math.pi * t)
+        assert err <= 2.5e-11 * max(1.0, exact)
+        assert value == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_sinh_sinh_normalization_and_semigroup(self, t):
+        p, p2 = GaussianParams(t, 1), GaussianParams(2.0 * t, 1)
+        total, _ = de_quad(lambda u: weierstrass(u, p), -math.inf, math.inf, 1e-13)
+        assert total == pytest.approx(1.0, abs=1e-15)
+        for x in (0.0, 0.7, 3.0):
+            conv, _ = de_quad(
+                lambda u: weierstrass(x - u, p) * weierstrass(u, p), -math.inf, math.inf, 1e-13
+            )
+            assert conv == pytest.approx(weierstrass(x, p2), abs=1e-15)
+
+    def test_jump_does_not_converge_within_level_cap(self):
+        with pytest.raises(QuadratureError):
+            de_quad(lambda x: 1.0 if x < 2**-0.5 else 0.0, 0.0, 1.0, 1e-14)
+
+    def test_window_ends_must_be_negligible(self):
+        # exp(-x / 1e40) has not decayed by the exp-sinh window's far end
+        with pytest.raises(QuadratureError):
+            de_quad(lambda x: math.exp(-x / 1e40), 0.0, math.inf, 1e-10)
 
 
 class TestProfileShape:
