@@ -20,8 +20,8 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import laplacian, spectral, verify
-from .dyadic import DyadicPoint, dyadic_distance, smallest_common_interval
-from .exceptions import CapExceeded, ExpansionParseError, QuadratureError
+from .dyadic import MAX_LEVEL, DyadicPoint, dyadic_distance, smallest_common_interval
+from .exceptions import CapExceeded, ExpansionParseError, LevelRangeError, QuadratureError
 from .spectral import DiffusionParams, TruncationPolicy
 
 EXIT_OK = 0
@@ -31,6 +31,9 @@ EXIT_CAP = 4
 EXIT_VERIFY = 5
 
 DEFAULT_DIGITS = 53
+# --digits ranges over 0..MAX_DIGITS: a rounded point is no finer than the
+# finest dyadic level, and its mantissa has at most MAX_DIGITS fraction bits
+MAX_DIGITS = MAX_LEVEL
 
 
 def _fmt(v: float) -> str:
@@ -45,6 +48,8 @@ def parse_point(text: str, digits: int) -> tuple[DyadicPoint, Fraction]:
 
     Returns the point and the (signed) rounding that was applied.
     """
+    if not 0 <= digits <= MAX_DIGITS:
+        raise LevelRangeError(f"--digits {digits} is outside 0..{MAX_DIGITS}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     # string default with the flag's type, so the environment parses like a flag
     digits = argparse.ArgumentParser(add_help=False)
     digits.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
-                        help="binary digits kept when rounding decimal inputs")
+                        help=f"binary digits kept when rounding decimal inputs, 0..{MAX_DIGITS}")
     series = argparse.ArgumentParser(add_help=False)
     series.add_argument("--s", type=float, required=True, help="fractional order s > 0")
     series.add_argument("--t", type=float, required=True, help="diffusion time t > 0")

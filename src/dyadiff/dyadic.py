@@ -144,12 +144,6 @@ class DyadicInterval:
     def right_child(self) -> "DyadicInterval":
         return DyadicInterval(self.level + 1, 2 * self.index + 1)
 
-    def child_containing(self, x: DyadicPoint) -> "DyadicInterval":
-        child = interval_containing(x, self.level + 1)
-        if child.index // 2 != self.index:
-            raise ValueError("point lies outside the interval")
-        return child
-
     def overlap_length(self, other: "DyadicInterval") -> Fraction:
         """Length of the intersection; dyadic intervals are nested or disjoint."""
         if self.contains_interval(other):

@@ -150,12 +150,6 @@ def haar_eigenvalue(
     return lam
 
 
-def eigenvalue_constant(s: float) -> float:
-    """m(s) = lambda_I * |I|^s, the measured proportionality constant between
-    the integral operator and the |I|^-s scaling (independent of I)."""
-    return haar_eigenvalue(DyadicInterval(0, 0), s)
-
-
 @dataclass(frozen=True)
 class HaarExpansion:
     """Finite sparse Haar coefficient map: interval -> real coefficient."""
@@ -174,9 +168,6 @@ class HaarExpansion:
         cls, pairs: Iterable[tuple[DyadicInterval, float]]
     ) -> "HaarExpansion":
         return cls(tuple((i, float(c)) for i, c in pairs))
-
-    def as_dict(self) -> dict[DyadicInterval, float]:
-        return dict(self.coefficients)
 
     def evaluate(self, x: DyadicPoint) -> float:
         return math.fsum(c * haar_eval(I, x) for I, c in self.coefficients)

@@ -1,7 +1,9 @@
+import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+import test_acceptance as acceptance
 
 import dyadiff
 from dyadiff import gaussian, verify
@@ -19,6 +22,7 @@ from dyadiff.cli import (
     EXIT_PARSE,
     EXIT_RANGE,
     EXIT_VERIFY,
+    MAX_DIGITS,
     main,
     parse_point,
 )
@@ -53,6 +57,19 @@ class TestParsePoint:
     def test_fraction_syntax(self):
         point, rounding = parse_point("3/8", DEFAULT_DIGITS)
         assert point.value == Fraction(3, 8) and rounding == 0
+
+    @pytest.mark.parametrize("digits", [-1, MAX_DIGITS + 1, 10**12])
+    def test_digits_out_of_range_rejected(self, digits):
+        with pytest.raises(ValueError):
+            parse_point("0.1", digits)
+        code, _ = run("delta", "0.1", "0.2", "--digits", str(digits))
+        assert code == EXIT_RANGE
+
+    def test_digits_cap_parses(self):
+        point, rounding = parse_point("0.1", MAX_DIGITS)
+        assert point.exponent <= MAX_DIGITS
+        assert abs(rounding) <= Fraction(1, 2 ** (MAX_DIGITS + 1))
+        assert run("delta", "0.1", "0.2", "--digits", str(MAX_DIGITS))[0] == EXIT_OK
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -369,6 +386,76 @@ class TestVerify:
     def test_squared_ratio_bound_survives_underflow(self, seed):
         # at these seeds d_t1^2 underflows to 0 although d_t1 > 0
         assert all(r.passed for r in verify.run_verify("all", seed))
+
+    def test_every_line_prints_measured_and_bound(self):
+        code, text = run("verify", "all", "--seed", "931")
+        assert code == EXIT_OK
+        lines = [l for l in text.splitlines() if l.startswith("[")]
+        assert len(lines) == 28
+        for l in lines:
+            assert re.fullmatch(r"\[PASS\] \w+: .+  \(.+ = \S+, bound \S+\)", l), l
+        for r in verify.run_verify("all", 931):
+            assert r.passed == (r.measured <= r.bound)
+
+    @pytest.mark.parametrize(
+        "function, criterion, suite, names",
+        [
+            ("route_gap", 1, "spectral", ["theorem: spectral route equals psi(delta)"]),
+            ("c_quadrature_gap", 3, "spectral", ["sqrt(2)c < psi_inf < 2c sandwich"]),
+            ("kernel_bound_excess", 4, "spectral", ["kernel bound |K| <= 2/delta"]),
+            ("squared_ratio_excess", 5, "spectral", ["time monotonicity and squared-ratio bound"]),
+            ("witness_ratio", 5, "spectral", ["non-equivalence witness d_t1 > 1e6 d_t2"]),
+            ("ball_membership_mismatches", 6, "spectral",
+             ["balls are dyadic intervals (membership oracle)"]),
+            ("ball_transfer_mismatches", 6, "spectral", ["ball radius transfer across times"]),
+            ("eigen_scaling_spread", 7, "laplacian", ["haar eigenrelation and |I|^-s scaling"]),
+            ("evolution_route_gap", 8, "laplacian", ["spectral vs kernel-integral evolution"]),
+            ("semigroup_gap", 8, "laplacian", ["semigroup law of the multipliers"]),
+            ("profile_quadrature_gap", 9, "euclidean", ["quadrature profile matches closed form"]),
+            ("profile_derivative_gap", 9, "euclidean", ["profile derivative identity"]),
+            ("ratio_limit_gap", 9, "euclidean", ["small-r squared ratio limit"]),
+            ("invariance_gap", 9, "euclidean", [
+                "translation/rotation invariance (n=1)", "translation/rotation invariance (n=2)"]),
+        ],
+    )
+    def test_acceptance_and_verify_share_the_property(self, monkeypatch, function, criterion,
+                                                      suite, names):
+        # a property that measures inf fails both its verify line and its criterion
+        monkeypatch.setattr(verify, function, lambda *args, **kwargs: math.inf)
+        monkeypatch.setattr(acceptance, "report", lambda *args: None)
+        failed = [r.name for r in verify.run_verify(suite, 0) if not r.passed]
+        assert failed == names
+        test = next(f for n, f in vars(acceptance).items()
+                    if n.startswith(f"test_criterion_{criterion:02d}_"))
+        with pytest.raises(AssertionError):
+            test()
+
+
+class TestBenchmarkContract:
+    def test_layer_trace_targets_exist(self):
+        # perfbench/layertrace.py wraps these names; a deletion must not
+        # silently break a traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+        spec = importlib.util.spec_from_file_location("layertrace", path)
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
+        for targets in layertrace.LAYERS.values():
+            for owner, attr in targets:
+                assert attr in owner.__dict__, (owner, attr)
+        assert verify._SUITE_FUNCTIONS == {
+            "dyadic": verify.dyadic_suite,
+            "spectral": verify.spectral_suite,
+            "laplacian": verify.laplacian_suite,
+            "euclidean": verify.euclidean_suite,
+        }
+        tracer = layertrace.Tracer()
+        tracer.install()
+        try:
+            assert all(r.passed for r in verify.run_verify("dyadic", 0))
+        finally:
+            tracer.uninstall()
+        assert verify._SUITE_FUNCTIONS["dyadic"] is verify.dyadic_suite
+        assert tracer.calls
 
 
 class TestFlags:

@@ -1,22 +1,22 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from dyadiff import verify
 from dyadiff.exceptions import QuadratureError
 from dyadiff.gaussian import (
     GaussianParams,
     d_sq_quadrature,
     quad as de_quad,
-    ratio_limit_check,
     rho,
     rho_inverse,
     rho_sq_closed,
     rho_sq_derivative,
     rho_sq_quadrature,
     squared_ratio_limit,
-    translation_rotation_invariance_check,
     weierstrass,
 )
 
@@ -89,6 +89,21 @@ class TestQuadratureVsClosedForm:
 
         value, err = dblquad(integrand, -lim, lim + r, -lim, lim, epsabs=1e-10)
         assert value == pytest.approx(rho_sq_closed(r, p), abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("t", [10.0**k for k in range(-6, 7)])
+    def test_agreement_across_time_scales(self, n, t):
+        # the pair integral reaches 1/sqrt(8 pi t) at small t, above the
+        # absolute error gate unless quad's tolerance is scaled by it
+        p = GaussianParams(t, n)
+        for r in (1e-3, 1.0, 50.0):
+            closed = rho_sq_closed(r, p)
+            assert abs(rho_sq_quadrature(r, p) - closed) <= 1e-12 * max(1.0, closed)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_small_time_is_a_typed_error(self, n):
+        with pytest.raises(QuadratureError):
+            rho_sq_quadrature(50.0, GaussianParams(1e-8, n))
 
     def test_zero_distance(self):
         p = GaussianParams(1.0, 1)
@@ -204,14 +219,12 @@ class TestProfileShape:
 class TestRatioLimits:
     def test_n1_example(self):
         # (t1, t2) = (1, 2), n = 1: limit 2^(3/2)
-        got = ratio_limit_check(1.0, 2.0, 1, r_grid=[1e-2, 1e-3, 1e-4])
-        assert got == pytest.approx(2.0**1.5, rel=1e-3)
+        assert verify.ratio_limit_gap([(1.0, 2.0, 1, [1e-2, 1e-3, 1e-4])]) <= 1e-3
         assert squared_ratio_limit(1.0, 2.0, 1) == pytest.approx(2.0**1.5, abs=0)
 
     def test_n2_example(self):
         # (t1, t2) = (1, 4), n = 2: limit 4^2 = 16
-        got = ratio_limit_check(1.0, 4.0, 2, r_grid=[1e-2, 1e-3, 1e-4])
-        assert got == pytest.approx(16.0, rel=1e-3)
+        assert verify.ratio_limit_gap([(1.0, 4.0, 2, [1e-2, 1e-3, 1e-4])]) <= 1e-3
         assert squared_ratio_limit(1.0, 4.0, 2) == pytest.approx(16.0, abs=0)
 
     def test_ratio_approaches_limit_from_quadrature(self):
@@ -222,20 +235,18 @@ class TestRatioLimits:
         assert ratio == pytest.approx(squared_ratio_limit(t1, t2, n), rel=1e-3)
 
     def test_non_convergent_grid_rejected(self):
-        # feeding radii that wander away from 0 must trip the settling check
-        with pytest.raises((QuadratureError, ValueError)):
-            ratio_limit_check(2.0, 1.0, 1, r_grid=[])
+        # an empty grid has no radius to extrapolate from
+        with pytest.raises(ValueError):
+            verify.ratio_limit_gap([(2.0, 1.0, 1, [])])
 
 
 class TestInvariance:
     @pytest.mark.parametrize("n", [1, 2])
     def test_translation_and_rotation(self, n):
-        report = translation_rotation_invariance_check(
-            GaussianParams(1.0, n), trials=5, seed=7
-        )
-        assert report.passed
-        assert report.max_discrepancy < 1e-6
+        configs = verify.invariance_configs(random.Random(7), n, trials=5)
+        assert verify.invariance_gap(GaussianParams(1.0, n), configs) < 1e-6
 
     def test_rejects_unsupported_dimension(self):
+        configs = verify.invariance_configs(random.Random(0), 3, trials=1)
         with pytest.raises(ValueError):
-            translation_rotation_invariance_check(GaussianParams(1.0, 3), trials=1)
+            verify.invariance_gap(GaussianParams(1.0, 3), configs)

@@ -12,7 +12,6 @@ from dyadiff.laplacian import (
     HaarExpansion,
     PiecewiseDyadicFunction,
     apply_laplacian,
-    eigenvalue_constant,
     evolve_pointwise,
     evolve_spectral,
     expand,
@@ -239,7 +238,7 @@ class TestEigenvalue:
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_constant_across_levels_and_positions(self, s):
-        m = eigenvalue_constant(s)
+        m = haar_eigenvalue(DyadicInterval(0, 0), s)
         assert m > 0
         for j, k in [(-5, 0), (-2, 1), (0, 3), (3, 17), (5, 2)]:
             interval = DyadicInterval(j, k)
@@ -306,7 +305,7 @@ class TestHaarExpansion:
             [(DyadicInterval(0, 0), 0.75), (DyadicInterval(1, 0), -0.25)]
         )
         f = expansion.to_piecewise()
-        recovered = expand(f, -3, 4).as_dict()
+        recovered = dict(expand(f, -3, 4).coefficients)
         for interval, coeff in expansion.coefficients:
             assert recovered.pop(interval) == pytest.approx(coeff, abs=1e-15)
         for coeff in recovered.values():
@@ -403,7 +402,7 @@ class TestEvolution:
         expansion = HaarExpansion.from_pairs(
             [(DyadicInterval(0, 0), 1.0), (DyadicInterval(3, 0), 1.0)]
         )
-        evolved = evolve_spectral(expansion, DiffusionParams(1.0, 1.0)).as_dict()
+        evolved = dict(evolve_spectral(expansion, DiffusionParams(1.0, 1.0)).coefficients)
         assert evolved[DyadicInterval(3, 0)] < evolved[DyadicInterval(0, 0)]
 
 
@@ -412,12 +411,14 @@ class TestSerialization:
         expansion = HaarExpansion.from_pairs(
             [(DyadicInterval(-2, 1), 0.125), (DyadicInterval(4, 9), -3.5)]
         )
-        assert parse_expansion(format_expansion(expansion)).as_dict() == expansion.as_dict()
+        assert dict(parse_expansion(format_expansion(expansion)).coefficients) == dict(
+            expansion.coefficients
+        )
 
     def test_comments_and_blanks(self):
         text = "# header\n\n0 0 1.5  # trailing comment\n"
         parsed = parse_expansion(text)
-        assert parsed.as_dict() == {DyadicInterval(0, 0): 1.5}
+        assert dict(parsed.coefficients) == {DyadicInterval(0, 0): 1.5}
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ExpansionParseError) as err:
