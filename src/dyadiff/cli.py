@@ -19,7 +19,7 @@ import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 
-from . import laplacian, spectral, verify
+from . import laplacian, spectral
 from .dyadic import MAX_LEVEL, DyadicPoint, dyadic_distance, smallest_common_interval
 from .exceptions import CapExceeded, ExpansionParseError, LevelRangeError, QuadratureError
 from .spectral import DiffusionParams, TruncationPolicy
@@ -34,6 +34,13 @@ DEFAULT_DIGITS = 53
 # --digits ranges over 0..MAX_DIGITS: a rounded point is no finer than the
 # finest dyadic level, and its mantissa has at most MAX_DIGITS fraction bits
 MAX_DIGITS = MAX_LEVEL
+# decimal inputs are read exactly up to this exponent; an exact read past it
+# would build 10^|exponent|.  10^2048 is far past the coarsest interval,
+# 2^MAX_LEVEL, and 10^-2048 far below half the finest grid step, 2^-MAX_DIGITS
+MAX_DECIMAL_EXPONENT = MAX_LEVEL + MAX_DIGITS
+# the suites of `dyadiff verify`, named here so that only that subcommand
+# imports `dyadiff.verify`
+VERIFY_SUITES = ("dyadic", "spectral", "laplacian", "euclidean")
 
 
 def _fmt(v: float) -> str:
@@ -43,19 +50,35 @@ def _fmt(v: float) -> str:
         return f"{Context(prec=17).divide(Decimal(v.numerator), Decimal(v.denominator)):.17g}"
 
 
-def parse_point(text: str, digits: int) -> tuple[DyadicPoint, Fraction]:
+def parse_point(text: str, digits: int) -> tuple[DyadicPoint, Fraction | Decimal]:
     """Parse a decimal string, round to `digits` binary digits.
 
-    Returns the point and the (signed) rounding that was applied.
+    Returns the point and the (signed) rounding that was applied.  A decimal
+    with an exponent past +-MAX_DECIMAL_EXPONENT is decided from that
+    exponent: above, LevelRangeError; below, the point is 0 at every
+    `digits`, and the rounding is returned as an exact Decimal.
     """
     if not 0 <= digits <= MAX_DIGITS:
         raise LevelRangeError(f"--digits {digits} is outside 0..{MAX_DIGITS}")
+    negative = f"input {text!r} is negative; points live on the half-line"
+    try:
+        decimal = Decimal(text)
+    except ArithmeticError:  # not a decimal, such as "3/8": it has no exponent
+        decimal = Decimal(0)
+    if decimal.is_finite() and abs(decimal.adjusted()) > MAX_DECIMAL_EXPONENT:
+        if decimal.is_zero():
+            return DyadicPoint(0), Fraction(0)
+        if decimal.is_signed():
+            raise ValueError(negative)
+        if decimal.adjusted() > 0:
+            raise LevelRangeError(f"input {text!r} is at or above 10^{MAX_DECIMAL_EXPONENT + 1}")
+        return DyadicPoint(0), decimal.copy_negate()
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ExpansionParseError(0, f"cannot parse {text!r} as a real number") from None
     if value < 0:
-        raise ValueError(f"input {text!r} is negative; points live on the half-line")
+        raise ValueError(negative)
     scale = 1 << digits
     rounded = Fraction(round(value * scale), scale)
     point = DyadicPoint.from_fraction(rounded)
@@ -198,6 +221,8 @@ def cmd_evolve(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from . import verify  # only this subcommand pays for its import
+
     results = verify.run_verify(args.suite, seed=args.seed)
     failures = 0
     for r in results:
@@ -263,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("suite", nargs="?", default="all",
-                   choices=("all",) + verify.SUITES)
+                   choices=("all",) + VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

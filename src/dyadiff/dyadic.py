@@ -10,7 +10,7 @@ Euclidean distance and satisfies the ultrametric inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -27,6 +27,30 @@ def _check_level(j: int) -> None:
         raise LevelRangeError(f"interval level {j} exceeds |j| <= {MAX_LEVEL}")
 
 
+def _same_value(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_value(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def _unsupported(self, other):
+    return NotImplemented
+
+
+def value_type(name: str, fields: str, defaults: tuple = ()) -> type:
+    """The base of an immutable value type: a namedtuple, whose fields and
+    hash are computed in C, that equals only a value of its own type and has
+    neither tuple order nor tuple arithmetic.  A subclass keeps
+    `__slots__ = ()` and checks its fields in `__new__`."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base.__eq__, base.__ne__, base.__hash__ = _same_value, _other_value, tuple.__hash__
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__mul__", "__rmul__"):
+        setattr(base, op, _unsupported)
+    return base
+
+
 def pow2_half(j: int) -> float:
     """2^(j/2) as a float, exact for even j."""
     if j % 2 == 0:
@@ -34,19 +58,17 @@ def pow2_half(j: int) -> float:
     return _SQRT2 * math.ldexp(1.0, (j - 1) // 2)
 
 
-@dataclass(frozen=True, order=False)
-class DyadicPoint:
+class DyadicPoint(value_type("DyadicPoint", "mantissa exponent")):
     """A nonnegative dyadic rational mantissa * 2^-exponent in canonical form.
 
     Canonical means the mantissa is odd or the exponent is zero, so equality
     of fields is equality of values.
     """
 
-    mantissa: int
-    exponent: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        m, e = self.mantissa, self.exponent
+    def __new__(cls, mantissa: int, exponent: int = 0) -> "DyadicPoint":
+        m, e = mantissa, exponent
         if m < 0 or e < 0:
             raise ValueError("dyadic point requires mantissa >= 0 and exponent >= 0")
         if m == 0:
@@ -55,8 +77,7 @@ class DyadicPoint:
             # strip every trailing zero bit at once: m & -m is the lowest set bit
             k = min(e, (m & -m).bit_length() - 1)
             m, e = m >> k, e - k
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
+        return tuple.__new__(cls, (m, e))
 
     @classmethod
     def from_fraction(cls, value: Union[Fraction, int]) -> "DyadicPoint":
@@ -87,6 +108,7 @@ class DyadicPoint:
     def __float__(self) -> float:
         return self.mantissa / (1 << self.exponent)
 
+    # numeric order; x > y and x >= y reflect to y < x and y <= x
     def __lt__(self, other: "DyadicPoint") -> bool:
         e = max(self.exponent, other.exponent)
         return self.scaled_mantissa(e) < other.scaled_mantissa(e)
@@ -95,17 +117,16 @@ class DyadicPoint:
         return self == other or self < other
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(value_type("DyadicInterval", "level index")):
     """The half-open interval [index*2^-level, (index+1)*2^-level)."""
 
-    level: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_level(self.level)
-        if self.index < 0:
+    def __new__(cls, level: int, index: int) -> "DyadicInterval":
+        _check_level(level)
+        if index < 0:
             raise ValueError("interval index must be nonnegative on the half-line")
+        return tuple.__new__(cls, (level, index))
 
     @property
     def length(self) -> Fraction:

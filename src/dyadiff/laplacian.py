@@ -16,7 +16,6 @@ independently and must agree with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -26,28 +25,30 @@ from .dyadic import (
     haar_eval,
     interval_containing,
     pow2_half,
+    value_type,
 )
 from .exceptions import ExpansionParseError, ResidualTooLarge
 from .spectral import DEFAULT_TRUNC, DiffusionParams, TruncationPolicy, _pow2
 
 
-@dataclass(frozen=True)
-class PiecewiseDyadicFunction:
-    """Finite sum of constants on pairwise disjoint dyadic intervals, 0 elsewhere."""
+class PiecewiseDyadicFunction(value_type("PiecewiseDyadicFunction", "pieces")):
+    """Finite sum of constants on pairwise disjoint dyadic intervals, 0 elsewhere:
+    `pieces` is a tuple of (DyadicInterval, float) pairs."""
 
-    pieces: tuple[tuple[DyadicInterval, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pieces: tuple[tuple[DyadicInterval, float], ...]) -> "PiecewiseDyadicFunction":
         # on the finest grid, sorted by left end, each piece must end by the next start
-        top = max((p.level for p, _ in self.pieces), default=0)
+        top = max((p.level for p, _ in pieces), default=0)
         spans = sorted(
             ((p.index << (top - p.level), (p.index + 1) << (top - p.level), p)
-             for p, _ in self.pieces),
+             for p, _ in pieces),
             key=lambda span: span[0],
         )
         for (_, end, a), (start, _, b) in zip(spans, spans[1:]):
             if end > start:
                 raise ValueError(f"pieces {a} and {b} overlap")
+        return tuple.__new__(cls, (pieces,))
 
     @classmethod
     def from_pairs(
@@ -150,18 +151,19 @@ def haar_eigenvalue(
     return lam
 
 
-@dataclass(frozen=True)
-class HaarExpansion:
-    """Finite sparse Haar coefficient map: interval -> real coefficient."""
+class HaarExpansion(value_type("HaarExpansion", "coefficients")):
+    """Finite sparse Haar coefficient map: `coefficients` is a tuple of
+    (DyadicInterval, float) pairs, one per interval."""
 
-    coefficients: tuple[tuple[DyadicInterval, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coefficients: tuple[tuple[DyadicInterval, float], ...]) -> "HaarExpansion":
         seen = set()
-        for interval, _ in self.coefficients:
+        for interval, _ in coefficients:
             if interval in seen:
                 raise ValueError(f"duplicate coefficient for {interval}")
             seen.add(interval)
+        return tuple.__new__(cls, (coefficients,))
 
     @classmethod
     def from_pairs(

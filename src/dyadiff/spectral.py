@@ -21,19 +21,18 @@ import math
 import struct
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 from .dyadic import (
     MAX_LEVEL,
     DyadicPoint,
-    DyadicInterval,
     haar_eval,
     interval_containing,
     log2_distance,
     smallest_common_interval,
+    value_type,
 )
 from .exceptions import CapExceeded
 
@@ -41,32 +40,30 @@ _LN2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Fractional order s > 0 and diffusion time t > 0."""
+class DiffusionParams(value_type("DiffusionParams", "s t")):
+    """Fractional order s > 0 and diffusion time t > 0, both finite."""
 
-    s: float
-    t: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.s > 0):
-            raise ValueError("fractional order s must be positive")
-        if not (self.t > 0):
-            raise ValueError("diffusion time t must be positive")
+    def __new__(cls, s: float, t: float) -> "DiffusionParams":
+        if not 0 < s < math.inf:
+            raise ValueError("fractional order s must be a positive finite number")
+        if not 0 < t < math.inf:
+            raise ValueError("diffusion time t must be a positive finite number")
+        return tuple.__new__(cls, (s, t))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(value_type("TruncationPolicy", "tail_tol max_terms")):
     """Tail tolerance relative to the value of each series, and a cap on its terms."""
 
-    tail_tol: float = 1e-12
-    max_terms: int = 100_000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.tail_tol > 0):
-            raise ValueError("tail_tol must be positive")
-        if self.max_terms < 1:
+    def __new__(cls, tail_tol: float = 1e-12, max_terms: int = 100_000) -> "TruncationPolicy":
+        if not 0 < tail_tol < math.inf:
+            raise ValueError("tail_tol must be a positive finite number")
+        if max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        return tuple.__new__(cls, (tail_tol, max_terms))
 
 
 DEFAULT_TRUNC = TruncationPolicy()
@@ -342,11 +339,10 @@ def distance_spectral(
     return math.exp(0.5 * (log_d2 + math.log(math.fsum(terms))))
 
 
-@dataclass(frozen=True)
-class Ball:
-    """A diffusion ball: a dyadic interval, or the whole half-line."""
+class Ball(value_type("Ball", "interval", defaults=(None,))):
+    """A diffusion ball: a dyadic interval, or the whole half-line (None)."""
 
-    interval: Optional[DyadicInterval] = None
+    __slots__ = ()
 
     @classmethod
     def whole_space(cls) -> "Ball":

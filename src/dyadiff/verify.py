@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -26,6 +25,7 @@ from .dyadic import (
     dyadic_distance,
     haar_eval,
     log2_distance,
+    value_type,
 )
 from .exceptions import ResidualTooLarge
 from .spectral import DEFAULT_TRUNC, DiffusionParams
@@ -36,14 +36,7 @@ _S_GRID = (0.25, 0.5, 1.0, 2.0)
 _T_GRID = (0.1, 1.0, 10.0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
-    measured: float
-    bound: float
+CheckResult = value_type("CheckResult", "suite name passed detail measured bound")
 
 
 def random_point(

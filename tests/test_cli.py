@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import json
@@ -6,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,11 +25,14 @@ from dyadiff.cli import (
     EXIT_PARSE,
     EXIT_RANGE,
     EXIT_VERIFY,
+    MAX_DECIMAL_EXPONENT,
     MAX_DIGITS,
+    build_parser,
     main,
     parse_point,
 )
-from dyadiff.exceptions import QuadratureError
+from dyadiff.dyadic import DyadicPoint
+from dyadiff.exceptions import LevelRangeError, QuadratureError
 from dyadiff.spectral import DiffusionParams, psi_infinity
 
 
@@ -74,6 +80,36 @@ class TestParsePoint:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             parse_point("-0.5", DEFAULT_DIGITS)
+
+    @pytest.mark.parametrize("text, code, rounding", [
+        ("1e10000000", EXIT_RANGE, None),
+        ("1e3000000", EXIT_RANGE, None),
+        ("1e-10000000", EXIT_OK, "-0"),
+        ("0e-10000000", EXIT_OK, "0"),
+        ("-1e-10000000", EXIT_RANGE, None),
+    ])
+    def test_huge_exponent_decided_from_the_exponent(self, text, code, rounding):
+        # an exact read would build 10^|exponent|: 1e10000000 took 11.7 s
+        start = time.perf_counter()
+        got, out = run("delta", "--", text, "0")
+        assert time.perf_counter() - start < 0.5
+        assert got == code
+        if rounding is None:
+            assert out == ""
+        else:
+            doc = json.loads(out)
+            assert doc["x"] == {"input": text, "value": "0", "mantissa": 0, "exponent": 0,
+                                "rounding_applied": rounding}
+            assert (doc["delta"], doc["interval"]) == ("0", "point")
+
+    def test_decimal_exponent_bound(self):
+        top = MAX_DECIMAL_EXPONENT
+        assert parse_point(f"1e{top}", 0) == (DyadicPoint(10**top), 0)
+        with pytest.raises(LevelRangeError, match=f"10\\^{top + 1}"):
+            parse_point(f"1e{top + 1}", 0)
+        # at the bound the read is exact; past it the rounding is the exact Decimal
+        assert parse_point(f"1e-{top}", MAX_DIGITS) == (DyadicPoint(0), -Fraction(1, 10**top))
+        assert parse_point(f"3e-{top + 1}", MAX_DIGITS) == (DyadicPoint(0), Decimal(f"-3e-{top + 1}"))
 
 
 class TestDelta:
@@ -206,6 +242,19 @@ class TestBall:
     def test_nonpositive_radius_range_error(self):
         code, _ = run("ball", "0.5", "0", "--s", "1", "--t", "1")
         assert code == EXIT_RANGE
+
+    def test_infinite_radius_whole_space(self):
+        assert run_json("ball", "0.5", "inf", "--s", "1", "--t", "1")["ball"] == "whole_space"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag, name", [
+        ("--s", "fractional order s"), ("--t", "diffusion time t"), ("--tail-tol", "tail_tol"),
+    ])
+    def test_non_finite_parameters_range_error(self, flag, name, value, capsys):
+        flags = {"--s": "1", "--t": "1", flag: value}
+        code, out = run("distance", "0.25", "0.75", *(f"{k}={v}" for k, v in flags.items()))
+        assert (code, out) == (EXIT_RANGE, "")
+        assert capsys.readouterr().err == f"range error: {name} must be a positive finite number\n"
 
 
 class TestProfile:
@@ -360,6 +409,12 @@ class TestVerify:
         assert line.startswith("[PASS]")
         assert "over 20 trials" in line
 
+    def test_suite_choices_match_the_registry(self):
+        # the CLI names the suites itself so that only `verify` imports verify
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == ("all",) + verify.SUITES
+
     def test_unknown_suite_parse_error(self):
         code, _ = run("verify", "bogus")
         assert code == EXIT_PARSE
@@ -501,6 +556,20 @@ class TestModuleEntry:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_neither_dataclasses_inspect_nor_verify(self):
+        proc = run_python(
+            "-c",
+            "import sys, dyadiff.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'dyadiff.verify'} & set(sys.modules)))",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_python_m_dyadiff_verify_all(self):
+        proc = run_python("-m", "dyadiff", "verify", "all")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.endswith("# 28/28 properties passed\n")
 
     def test_verify_loads_neither_scipy_nor_numpy(self):
         proc = run_python(

@@ -15,6 +15,10 @@ from dyadiff.dyadic import (
     smallest_common_interval,
 )
 from dyadiff.exceptions import LevelRangeError
+from dyadiff.gaussian import GaussianParams
+from dyadiff.laplacian import HaarExpansion, PiecewiseDyadicFunction
+from dyadiff.spectral import Ball, DiffusionParams, TruncationPolicy
+from dyadiff.verify import CheckResult
 
 from conftest import intervals, points
 
@@ -194,3 +198,121 @@ def test_interval_containing_is_consistent(x, level):
     interval = interval_containing(x, level)
     assert interval.contains(x)
     assert interval.lower <= x.value < interval.upper
+
+
+# -- value semantics of the package's nine immutable value types --------------
+
+_small_intervals = st.builds(DyadicInterval, st.integers(-2, 2), st.integers(0, 3))
+# each type with a strategy for its constructor arguments, drawn from small
+# sets so that equal fields come up often
+VALUE_TYPES = {
+    DyadicPoint: st.tuples(st.integers(0, 8), st.integers(0, 3)),
+    DyadicInterval: st.tuples(st.integers(-2, 2), st.integers(0, 3)),
+    DiffusionParams: st.tuples(st.sampled_from([0.5, 1, 1.0, 2.0]), st.sampled_from([0.1, 1.0])),
+    TruncationPolicy: st.tuples(st.sampled_from([1e-12, 1e-6]), st.sampled_from([10, 100_000])),
+    Ball: st.tuples(st.one_of(st.none(), _small_intervals)),
+    GaussianParams: st.tuples(st.sampled_from([0.5, 1.0]), st.integers(1, 2)),
+    PiecewiseDyadicFunction: st.tuples(
+        st.lists(st.tuples(_small_intervals, st.sampled_from([1.0, -2.0])), max_size=1).map(tuple)),
+    HaarExpansion: st.tuples(
+        st.lists(st.tuples(_small_intervals, st.sampled_from([1.0, 0.5])), max_size=1).map(tuple)),
+    CheckResult: st.tuples(st.sampled_from(["dyadic", "spectral"]), st.just("p"), st.booleans(),
+                           st.just(""), st.sampled_from([0.0, 1e-13]), st.just(1e-12)),
+}
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value)._fields)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
+    @given(data=st.data())
+    def test_equal_exactly_for_equal_fields(self, cls, data):
+        a = cls(*data.draw(VALUE_TYPES[cls]))
+        b = cls(*data.draw(VALUE_TYPES[cls]))
+        assert (a == b) == (_fields(a) == _fields(b)) == (not a != b)
+        if a == b:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
+    @given(data=st.data())
+    def test_unequal_to_plain_tuple_and_other_types(self, cls, data):
+        a = cls(*data.draw(VALUE_TYPES[cls]))
+        plain = _fields(a)
+        assert not a == plain and a != plain
+        assert not plain == a and plain != a
+        others = [other(*data.draw(args)) for other, args in VALUE_TYPES.items() if other is not cls]
+        assert all(a != other and not a == other for other in others)
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
+    @given(data=st.data())
+    def test_immutable(self, cls, data):
+        a = cls(*data.draw(VALUE_TYPES[cls]))
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda c: c.__name__)
+    @given(data=st.data())
+    def test_readable_repr_and_no_tuple_order(self, cls, data):
+        a = cls(*data.draw(VALUE_TYPES[cls]))
+        fields = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls._fields)
+        assert repr(a) == f"{cls.__name__}({fields})"
+        if cls is not DyadicPoint:
+            with pytest.raises(TypeError):
+                a < a
+        with pytest.raises(TypeError):
+            a + a
+
+    def test_keywords_and_defaults(self):
+        assert DyadicPoint(mantissa=6, exponent=1) == DyadicPoint(3)
+        assert DyadicInterval(index=2, level=1) == DyadicInterval(1, 2)
+        assert TruncationPolicy() == TruncationPolicy(tail_tol=1e-12, max_terms=100_000)
+        assert Ball().interval is None and Ball() == Ball.whole_space()
+        assert GaussianParams(t=1.0).n == 1
+
+    @pytest.mark.parametrize("build, exc, message", [
+        (lambda: DyadicPoint(-1, 0), ValueError,
+         "dyadic point requires mantissa >= 0 and exponent >= 0"),
+        (lambda: DyadicPoint(1, -1), ValueError,
+         "dyadic point requires mantissa >= 0 and exponent >= 0"),
+        (lambda: DyadicInterval(1025, 0), LevelRangeError, "interval level 1025 exceeds |j| <= 1024"),
+        (lambda: DyadicInterval(0, -1), ValueError,
+         "interval index must be nonnegative on the half-line"),
+        *[(lambda v=v: DiffusionParams(v, 1.0), ValueError,
+           "fractional order s must be a positive finite number")
+          for v in (0.0, -1.0, math.inf, -math.inf, math.nan)],
+        *[(lambda v=v: DiffusionParams(1.0, v), ValueError,
+           "diffusion time t must be a positive finite number")
+          for v in (0.0, -2.0, math.inf, -math.inf, math.nan)],
+        *[(lambda v=v: TruncationPolicy(tail_tol=v), ValueError,
+           "tail_tol must be a positive finite number") for v in (0.0, math.inf, math.nan)],
+        (lambda: TruncationPolicy(max_terms=0), ValueError, "max_terms must be >= 1"),
+        *[(lambda v=v: GaussianParams(v), ValueError, "time t must be a positive finite number")
+          for v in (0.0, math.inf, math.nan)],
+        (lambda: GaussianParams(1.0, 0), ValueError, "dimension n must be >= 1"),
+        (lambda: PiecewiseDyadicFunction(((DyadicInterval(0, 0), 1.0), (DyadicInterval(1, 1), 2.0))),
+         ValueError, "pieces [0, 1) and [1/2, 1) overlap"),
+        (lambda: HaarExpansion(((DyadicInterval(0, 0), 1.0), (DyadicInterval(0, 0), 2.0))),
+         ValueError, "duplicate coefficient for [0, 1)"),
+    ])
+    def test_constructor_errors(self, build, exc, message):
+        with pytest.raises(exc) as info:
+            build()
+        assert str(info.value) == message
+
+    @given(st.integers(0, 1 << 20), st.integers(0, 20), st.integers(0, 1 << 20), st.integers(0, 20))
+    def test_point_order_is_numeric(self, m, e, n, f):
+        x, y = DyadicPoint(m, e), DyadicPoint(n, f)
+        a, b = x.value, y.value
+        assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
+
+    def test_point_order_is_not_tuple_order(self):
+        # as tuples (3, 2) > (1, 0), but 3/4 < 1
+        assert DyadicPoint(3, 2) < DyadicPoint(1) and DyadicPoint(1) > DyadicPoint(3, 2)
+        assert DyadicPoint(3, 2) <= DyadicPoint(1) and DyadicPoint(1) >= DyadicPoint(3, 2)
+        assert not DyadicPoint(3, 2) >= DyadicPoint(1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from dyadiff import verify
+from dyadiff import gaussian, verify
 from dyadiff.exceptions import QuadratureError
 from dyadiff.gaussian import (
     GaussianParams,
@@ -164,6 +164,98 @@ class TestDoubleExponentialQuad:
         # exp(-x / 1e40) has not decayed by the exp-sinh window's far end
         with pytest.raises(QuadratureError):
             de_quad(lambda x: math.exp(-x / 1e40), 0.0, math.inf, 1e-10)
+
+
+def uncached_quad(f, a, b, tol):
+    """`quad` as it was before its nodes were cached: every call evaluates
+    sinh, tanh, cosh and exp at every node.  The oracle for bit-identity."""
+    hp = 0.5 * math.pi
+    if b < math.inf:
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+
+        def g(u):
+            v = hp * math.sinh(u)
+            return f(c + r * math.tanh(v)) * r * hp * math.cosh(u) / math.cosh(v) ** 2
+    elif a > -math.inf:
+
+        def g(u):
+            x = math.exp(hp * math.sinh(u))
+            return f(a + x) * hp * math.cosh(u) * x
+    else:
+
+        def g(u):
+            v = hp * math.sinh(u)
+            return f(math.sinh(v)) * hp * math.cosh(u) * math.cosh(v)
+
+    h, n = 0.5, 9
+    terms = [g(j * h) for j in range(-n, n + 1)]
+    total = math.fsum(terms)
+    value = total * h
+    if (abs(terms[0]) + abs(terms[-1])) * h > tol * max(1.0, abs(value)):
+        raise QuadratureError(f"quadrature window ends are not negligible at tol {tol}")
+    for level in range(1, 11):
+        h, n = 0.5 * h, 2 * n
+        total += math.fsum(g(j * h) for j in range(1 - n, n, 2))
+        prev, value = value, total * h
+        if level >= 3 and abs(value - prev) <= tol * max(1.0, abs(value)):
+            return value, abs(value - prev)
+    raise QuadratureError(f"quadrature levels 9 and 10 differ by {abs(value - prev):.3e}, tol {tol}")
+
+
+def _outcome(rule, f, a, b, tol):
+    try:
+        return rule(f, a, b, tol)
+    except QuadratureError as exc:
+        return str(exc)
+
+
+_W = GaussianParams(0.7, 1)
+# (integrand, a, b) on each of the three rules, from smooth to a jump
+QUAD_CASES = [
+    (lambda x: math.exp(-2.0 * x**0.5), 0.0, math.inf),
+    (lambda x: math.exp(-x * x), 1.5, math.inf),
+    (lambda x: math.exp(-x / 1e40), 0.0, math.inf),  # window ends not negligible
+    (lambda x: 1.0 / (1.0 + x * x), -3.0, 2.0),
+    (lambda x: math.sqrt(x), 0.0, 1.0),
+    (lambda x: 1.0 if x < 2**-0.5 else 0.0, 0.0, 1.0),  # levels 9 and 10 disagree
+    (lambda u: weierstrass(0.3 - u, _W) * weierstrass(-1.1 - u, _W), -12.0, 12.0),
+    (lambda u: weierstrass(u, _W), -math.inf, math.inf),
+    (lambda u: math.exp(-abs(u)) * math.cos(u), -math.inf, math.inf),
+]
+
+
+class TestQuadNodeCache:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-15])
+    @pytest.mark.parametrize("case", range(len(QUAD_CASES)))
+    def test_bit_identical_to_uncached_rule(self, case, tol):
+        f, a, b = QUAD_CASES[case]
+        expected = _outcome(uncached_quad, f, a, b, tol)
+        assert _outcome(de_quad, f, a, b, tol) == expected
+        assert repr(_outcome(de_quad, f, a, b, tol)) == repr(expected)
+
+    def test_both_errors_reached(self):
+        outcomes = [_outcome(de_quad, f, a, b, 1e-13) for f, a, b in QUAD_CASES]
+        assert any("window ends" in str(o) for o in outcomes)
+        assert any("levels 9 and 10" in str(o) for o in outcomes)
+
+    def test_second_call_adds_no_entries_and_levels_are_capped(self):
+        for f, a, b in QUAD_CASES:
+            _outcome(de_quad, f, a, b, 1e-15)
+        info = gaussian._nodes.cache_info()
+        for f, a, b in QUAD_CASES:
+            _outcome(de_quad, f, a, b, 1e-15)
+        after = gaussian._nodes.cache_info()
+        assert (after.currsize, after.misses) == (info.currsize, info.misses)
+        # with every level of every rule built, the table holds 11 levels per
+        # rule and nothing else: 18,433 nodes a rule, 8 bytes a column entry
+        for rule in ("finite", "half", "whole"):
+            assert all(gaussian._nodes(rule, level) for level in range(11))
+        assert gaussian._nodes.cache_info().currsize == 33
+        columns = {"finite": 3, "half": 2, "whole": 3}
+        nbytes = {rule: sum(col.nbytes for level in range(11) for col in gaussian._nodes(rule, level))
+                  for rule in columns}
+        assert nbytes == {rule: 8 * 18_433 * k for rule, k in columns.items()}
+        assert sum(nbytes.values()) == 1_179_712
 
 
 class TestProfileShape:
